@@ -8,8 +8,8 @@ prints the quantities a trap designer reaches for first.
 
 import numpy as np
 
-from optrap import (CONST, beam_geometry, field_amplitudes_at,
-                    mean_force_at, rabi_frequency_at, trap_summary)
+from optrap import (CONST, field_amplitudes_at, mean_force_at,
+                    rabi_frequency_at, trap_summary)
 from optrap.config import load_config
 
 FOCUS = (0.0, 0.0, 0.0)
@@ -18,11 +18,10 @@ parsed = load_config("demos/mg24.json")
 setup = parsed.setup
 beam = setup.beam
 
-geo = beam_geometry(beam)
 print("beam geometry")
-print(f"  rayleigh range  {geo.rayleigh_range * 1e3:8.3f} mm")
-print(f"  wavenumber      {geo.wavenumber:.4e} 1/m")
-print(f"  omega_L         2pi x {geo.omega_laser / 2 / np.pi:.4e} Hz")
+print(f"  rayleigh range  {beam.rayleigh_range * 1e3:8.3f} mm")
+print(f"  wavenumber      {beam.wavenumber:.4e} 1/m")
+print(f"  omega_L         2pi x {beam.omega_laser / 2 / np.pi:.4e} Hz")
 print(f"  power           {beam.beam_power * 1e3:.1f} mW for kB x 50 mK depth")
 
 amps = field_amplitudes_at(setup, FOCUS)
@@ -43,7 +42,7 @@ print("\nfrequency hierarchy (ascending)")
 for name, value in summary.hierarchy:
     print(f"  {name:18s} 2pi x {value / 2 / np.pi:.3e} Hz")
 
-force = mean_force_at(setup, (0.0, 0.0, 0.1 * geo.rayleigh_range))
+force = mean_force_at(setup, (0.0, 0.0, 0.1 * beam.rayleigh_range))
 print("\nmean force 0.1 zR downstream of the focus")
 print(f"  dipolar (restoring) {force.dipolar[2]:+.3e} N")
 print(f"  radiation pressure  {force.radiation_pressure[2]:+.3e} N")

@@ -17,9 +17,8 @@ Library layout:
 """
 
 from .constants import CODATA2018, CONST, PhysicalConstants
-from .model import (BeamGeometry, FieldAmplitudes, IonSpecies, LaserBeam,
-                    TrapSetup, Transition, beam_geometry,
-                    dipole_from_linewidth, field_amplitudes_at, intensity_at,
+from .model import (FieldAmplitudes, IonSpecies, LaserBeam, TrapSetup,
+                    Transition, field_amplitudes_at, intensity_at,
                     intensity_gradient_at, rabi_frequency_at, setup_from_beam)
 from .dipole_trap import (MeanForce, TrapSummary, dipole_force_at,
                           effective_potential_at, mean_force_at,
@@ -27,9 +26,8 @@ from .dipole_trap import (MeanForce, TrapSummary, dipole_force_at,
                           scattering_rate_at, trap_summary)
 from .charge_corrections import (CorrectionLedger, LedgerEntry, MonopoleDrive,
                                  MultipoleRatios, RelativisticRatios,
-                                 corrections_table, effective_charge,
-                                 monopole_drive, multipole_ratios,
-                                 relativistic_ratios)
+                                 corrections_table, monopole_drive,
+                                 multipole_ratios, relativistic_ratios)
 from .mathieu_floquet import (FloquetResult, MathieuParams, StabilityScan,
                               floquet_eigenfunction_spectrum,
                               mathieu_monodromy, micromotion_ratio_optical,

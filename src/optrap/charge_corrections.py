@@ -18,25 +18,19 @@ order-of-magnitude estimate for the reference single-ion experiment, so
 discrepancies stay visible instead of being absorbed.
 """
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .constants import CONST
 from .errors import BlueDetunedUnsupported
-from .model import IonSpecies, TrapSetup, field_amplitudes_at, rabi_frequency_at
+from .model import TrapSetup, field_amplitudes_at, rabi_frequency_at
 from .dipole_trap import effective_potential_at, trap_summary
 from . import blackbody as _blackbody
 from . import mathieu_floquet as _mathieu
 from .units import format_sig
 
 _FOCUS = (0.0, 0.0, 0.0)
-
-
-def effective_charge(ion: IonSpecies) -> float:
-    """q_eff = |q_e| + (m_e/M) Q, C."""
-    return ion.effective_dipole_charge
 
 
 @dataclass(frozen=True)
@@ -249,8 +243,3 @@ def corrections_table(setup: TrapSetup,
     )
     return CorrectionLedger(entries=entries, depth=float(depth))
 
-
-def to_json_text(ledger: CorrectionLedger) -> str:
-    return json.dumps({"depth_J": ledger.depth,
-                       "entries": ledger.to_json_dict()},
-                      indent=2, sort_keys=True)

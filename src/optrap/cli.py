@@ -19,11 +19,11 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ParsedConfig, load_config
+from .config import ParsedConfig, check_steps, load_config
 from .dynamics import (DrivenOscillatorSpec, dominant_frequency,
                        integrate_driven, integrate_full)
 from .errors import ConfigError, PhysicsError, TrapError
-from .mathieu_floquet import stability_scan
+from .mathieu_floquet import DEFAULT_STEPS, stability_scan
 from .reporting import build_report, render_text
 from .units import format_sig, rad_s_from_2pi_hz
 
@@ -56,12 +56,13 @@ def _out_dir(args) -> Path:
 
 
 def run_report(args) -> int:
+    digits = _text_digits()
     parsed = load_config(args.config)
     report = build_report(parsed)
     out = _out_dir(args)
     _atomic_write(out / "report.json",
                   json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _atomic_write(out / "report.txt", render_text(report, _text_digits()))
+    _atomic_write(out / "report.txt", render_text(report, digits))
     print(f"wrote {out / 'report.json'} and {out / 'report.txt'}")
     return EXIT_OK
 
@@ -94,7 +95,10 @@ def run_stability(args) -> int:
                                 scan_cfg["q_step"])
     else:
         raise ConfigError("no --q range given and no scan block in config")
-    steps = args.steps or int(scan_cfg.get("monodromy_steps", 4096))
+    if args.steps is not None:
+        steps = check_steps(args.steps, "--steps")
+    else:
+        steps = scan_cfg.get("monodromy_steps", DEFAULT_STEPS)
     for name, (lo, hi, step) in (("a", (a_min, a_max, a_step)),
                                  ("q", (q_min, q_max, q_step))):
         if step <= 0 or hi < lo:
@@ -113,6 +117,7 @@ def run_stability(args) -> int:
 
 
 def run_simulate(args) -> int:
+    digits = _text_digits()
     parsed = load_config(args.config)
     sim = parsed.simulate
     if not sim:
@@ -122,7 +127,6 @@ def run_simulate(args) -> int:
     out = _out_dir(args)
     _atomic_write(out / "trajectory.csv", record.to_csv_text())
     freq = dominant_frequency(record.times, record.positions[:, 0])
-    digits = _text_digits()
     print(f"final_total_energy_J={format_sig(record.total_energy[-1], 12)} "
           f"dominant_frequency_rad_s={format_sig(freq, digits)} "
           f"samples={len(record.times)}")

@@ -74,6 +74,13 @@ def _number(section: dict, key: str, path: str, *, required=True, default=None,
     return value
 
 
+def check_steps(value, name: str) -> int:
+    """A monodromy step count: an integer >= 1 (bools rejected)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def load_config(path) -> ParsedConfig:
     """Read and validate a JSON configuration file."""
     text = Path(path).read_text(encoding="utf-8")
@@ -161,6 +168,8 @@ def parse_config(raw: dict) -> ParsedConfig:
                            "q_step", "monodromy_steps"}, "scan")
         for key in ("a_min", "a_max", "a_step", "q_min", "q_max", "q_step"):
             _number(scan, key, "scan")
+        if "monodromy_steps" in scan:
+            check_steps(scan["monodromy_steps"], "scan.monodromy_steps")
 
     if has_power:
         mode = "power"

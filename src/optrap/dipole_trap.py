@@ -7,7 +7,7 @@ over the optical oscillation, is
 
 with s(R) the saturation parameter.  The first term is the conservative
 dipole force, the second the radiation pressure along the propagation
-axis.  For weak saturation the dipole force derives from the effective
+axis z.  For weak saturation the dipole force derives from the effective
 potential V_eff = (hbar delta / 2) s, which is what the trap depth and
 harmonic frequencies reported here are based on; the log form
 (hbar delta / 2) ln(1 + s) is the exact antiderivative of the dipolar term
@@ -90,7 +90,7 @@ def mean_force_at(setup: TrapSetup, position) -> MeanForce:
     gamma = setup.transition.linewidth
     k = setup.beam.wavenumber
     mag = 0.5 * CONST.hbar * gamma * (s / (1.0 + s)) * k
-    rp = np.multiply.outer(mag, np.asarray(setup.beam.axis))
+    rp = np.multiply.outer(mag, (0.0, 0.0, 1.0))    # along the beam, +z
     return MeanForce(dipolar=dip, radiation_pressure=rp)
 
 

@@ -8,8 +8,9 @@ Two deliberately separate integrations:
   analysis rests on).  Adaptive embedded Runge-Kutta via scipy.
 
 * :func:`integrate_driven` solves the charge-monopole driven harmonic
-  oscillator M x'' = Q E cos(w_d t) - M w0^2 x with a fixed-step
-  8th-order scheme, for drive/secular ratios up to 1e6.  The physical
+  oscillator M x'' = Q E cos(w_d t) - M w0^2 x with the fixed-step RK8
+  kernel of :mod:`optrap.integrators` (the one the Mathieu monodromy
+  uses), for drive/secular ratios up to 1e6.  The physical
   ratio (~1e10) is validated through the analytic steady state and its
   (w0/w_d)^2 scaling law, not by direct integration.
 
@@ -73,17 +74,13 @@ class TrajectoryRecord:
 def _setup_fingerprint(setup: TrapSetup) -> str:
     text = repr((setup.ion, setup.transition,
                  setup.beam.wavelength, setup.beam.waist_radius,
-                 setup.beam.detuning, setup.beam.beam_power, setup.beam.axis,
+                 setup.beam.detuning, setup.beam.beam_power,
                  setup.static_curvatures, setup.temperature))
     return hashlib.sha1(text.encode()).hexdigest()[:16]
 
 
 def _static_force(setup: TrapSetup, position):
-    """Restoring force of the static curvatures, beam frame = lab frame.
-
-    Only meaningful when the beam axis is a coordinate axis; for the
-    default z-propagating beam the frames coincide.
-    """
+    """Restoring force of the static curvatures (beam frame = lab frame)."""
     cur = np.asarray(setup.static_curvatures)
     return -setup.ion.total_mass * cur * np.asarray(position, dtype=float)
 
@@ -121,11 +118,9 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     w0 = setup.beam.waist_radius
     # the confinement scale is anisotropic: waists transversally,
     # Rayleigh ranges along the beam
-    axis = np.asarray(setup.beam.axis)
-    z0 = position0 @ axis
-    r0 = np.linalg.norm(position0 - z0 * axis)
-    if (r0 > INITIAL_WARNING_WAISTS * w0
-            or abs(z0) > INITIAL_WARNING_WAISTS * setup.beam.rayleigh_range):
+    if (np.linalg.norm(position0[:2]) > INITIAL_WARNING_WAISTS * w0
+            or abs(position0[2])
+            > INITIAL_WARNING_WAISTS * setup.beam.rayleigh_range):
         warnings.warn("initial position beyond 5 trap length scales from "
                       "the focus", InitialConditionWarning, stacklevel=2)
     mass = setup.ion.total_mass
@@ -206,10 +201,6 @@ class DrivenSolution:
     drive_kinetic_energy: float  # time-averaged KE of the drive motion, J
     secular_amplitude: float     # homogeneous-component amplitude, m
     drive_frequency: float       # rad/s
-
-    def particular_position(self, t):
-        """x_p(t); the drive-frequency component of the exact solution."""
-        return -self.steady_amplitude * np.cos(self.drive_frequency * t)
 
 
 def analytic_driven_solution(spec: DrivenOscillatorSpec) -> DrivenSolution:
@@ -329,13 +320,11 @@ def equilibrium_shift(setup: TrapSetup, include_radiation_pressure: bool = True,
     """
     if not include_radiation_pressure:
         return 0.0
-    axis = np.asarray(setup.beam.axis)
     axial_curv = setup.static_curvatures[2]
     mass = setup.ion.total_mass
 
     def axial_force(z):
-        pos = z * axis
-        f = mean_force_at(setup, pos).total @ axis
+        f = mean_force_at(setup, (0.0, 0.0, z)).total[2]
         return f - mass * axial_curv * z
 
     zr = setup.beam.rayleigh_range

@@ -1,10 +1,13 @@
-"""Fixed-step 8th-order Runge-Kutta integration.
+"""Fixed-step 8th-order Runge-Kutta integration of x'' = accel(t, x).
 
 The 11-stage order-8 scheme of Cooper and Verner (coefficients closed in
-sqrt(21)).  Fixed stepping keeps phase-sensitive comparisons (monodromy
-matrices, driven steady states) bit-reproducible across runs; adaptive
-integration for the secular trap dynamics lives in :mod:`optrap.dynamics`
-on top of scipy instead.
+sqrt(21)).  :func:`rk8_oscillator` is the one stepping loop: the Mathieu
+monodromy (batched over (a, q) points, or one point at a time) and the
+driven oscillator (through :func:`rk8_scalar_oscillator`) both run
+through it.  Fixed stepping keeps
+phase-sensitive comparisons (monodromy matrices, driven steady states)
+bit-reproducible across runs; adaptive integration for the secular trap
+dynamics lives in :mod:`optrap.dynamics` on top of scipy instead.
 """
 
 import math
@@ -39,86 +42,69 @@ RK8_A = (
 RK8_B = (1 / 20, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 49 / 180, 16 / 45, 49 / 180,
          1 / 20)
 
-_STAGES = 11
+# (j, a_ij) and (i, b_i) pairs of the non-zero tableau entries
+_A_NONZERO = tuple(tuple((j, aij) for j, aij in enumerate(row) if aij != 0.0)
+                   for row in RK8_A)
+_B_NONZERO = tuple((i, bi) for i, bi in enumerate(RK8_B) if bi != 0.0)
 
 
-def rk8_fixed(f, t0: float, t1: float, y0, nsteps: int, sample_every: int = 0):
-    """Integrate y' = f(t, y) with ``nsteps`` equal RK8 steps.
+def rk8_oscillator(accel, t0: float, h: float, nsteps: int, x0, v0,
+                   sample_every: int = 0):
+    """Integrate x'' = accel(t, x) with ``nsteps`` equal RK8 steps of size h.
 
-    ``y0`` may be an array of any shape; ``f`` must return the same shape.
-    With ``sample_every`` > 0, states at every that-many steps (plus the
-    initial state) are collected and returned as (times, states); the
-    final state is always the last sample when nsteps is a multiple.
-    Otherwise only the final state is returned.
+    ``x0`` and ``v0`` may be Python floats or numpy arrays of one shape;
+    every update builds a new value (never in place), so both run through
+    the same arithmetic in the same order and give the same bits.  With
+    ``sample_every`` > 0, returns (times, positions, velocities) sampled
+    at the start and after every that-many steps; otherwise returns only
+    the final (x, v).
     """
     if nsteps < 1:
         raise ValueError("nsteps must be >= 1")
-    h = (t1 - t0) / nsteps
-    y = np.array(y0, dtype=float)
-    k = [None] * _STAGES
+    c = [ci * h for ci in RK8_C]
+    a = [[(j, h * aij) for j, aij in row] for row in _A_NONZERO]
+    (i0, hb0), *b_rest = [(i, h * bi) for i, bi in _B_NONZERO]
+    kx = [None] * len(a)
+    kv = [None] * len(a)
+    x, v = x0, v0
     record = sample_every > 0
     if record:
-        times = [t0]
-        states = [y.copy()]
+        ts = t0 + (np.arange(nsteps // sample_every + 1) * sample_every) * h
+        xs = np.empty(ts.shape + np.shape(x0))
+        vs = np.empty_like(xs)
+        xs[0], vs[0] = x0, v0
     for n in range(nsteps):
         t = t0 + n * h
-        for i in range(_STAGES):
-            yi = y
-            row = RK8_A[i]
-            for j in range(i):
-                aij = row[j]
-                if aij != 0.0:
-                    yi = yi + (h * aij) * k[j]
-            k[i] = np.asarray(f(t + RK8_C[i] * h, yi), dtype=float)
-        dy = (h * RK8_B[0]) * k[0]
-        for i in range(7, _STAGES):
-            dy = dy + (h * RK8_B[i]) * k[i]
-        y = y + dy
+        for i, row in enumerate(a):
+            xi, vi = x, v
+            for j, haij in row:
+                xi = xi + haij * kx[j]
+                vi = vi + haij * kv[j]
+            kx[i] = vi
+            kv[i] = accel(t + c[i], xi)
+        dx = hb0 * kx[i0]
+        dv = hb0 * kv[i0]
+        for i, hbi in b_rest:
+            dx = dx + hbi * kx[i]
+            dv = dv + hbi * kv[i]
+        x = x + dx
+        v = v + dv
         if record and (n + 1) % sample_every == 0:
-            times.append(t0 + (n + 1) * h)
-            states.append(y.copy())
+            xs[(n + 1) // sample_every] = x
+            vs[(n + 1) // sample_every] = v
     if record:
-        return np.array(times), np.array(states)
-    return y
+        return ts, xs, vs
+    return x, v
 
 
 def rk8_scalar_oscillator(accel, t0: float, h: float, nsteps: int,
                           x0: float, v0: float, sample_every: int = 1):
-    """Specialised scalar driver for x'' = accel(t, x).
+    """:func:`rk8_oscillator` on floats, always sampled.
 
-    Pure-float inner loop: for one-dimensional driven-oscillator runs this
-    is an order of magnitude faster than the array path.  Returns
-    (times, positions, velocities) sampled every ``sample_every`` steps.
+    Returns (times, positions, velocities) at the start and after every
+    ``sample_every`` (>= 1) steps.
     """
-    x = float(x0)
-    v = float(v0)
-    ts = [t0]
-    xs = [x]
-    vs = [v]
-    kx = [0.0] * _STAGES
-    kv = [0.0] * _STAGES
-    for n in range(nsteps):
-        t = t0 + n * h
-        for i in range(_STAGES):
-            xi = x
-            vi = v
-            row = RK8_A[i]
-            for j in range(i):
-                aij = row[j]
-                if aij != 0.0:
-                    xi += h * aij * kx[j]
-                    vi += h * aij * kv[j]
-            kx[i] = vi
-            kv[i] = accel(t + RK8_C[i] * h, xi)
-        dx = RK8_B[0] * kx[0]
-        dv = RK8_B[0] * kv[0]
-        for i in (7, 8, 9, 10):
-            dx += RK8_B[i] * kx[i]
-            dv += RK8_B[i] * kv[i]
-        x += h * dx
-        v += h * dv
-        if (n + 1) % sample_every == 0:
-            ts.append(t0 + (n + 1) * h)
-            xs.append(x)
-            vs.append(v)
-    return np.array(ts), np.array(xs), np.array(vs)
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
+    return rk8_oscillator(accel, t0, h, nsteps, float(x0), float(v0),
+                          sample_every=sample_every)

@@ -14,9 +14,11 @@ The static field enters ``a`` only.  For an optical trap a and |q| are of
 order (w_opt/omega_L)^2 ~ 1e-20, far below anything a numerical Floquet
 analysis can resolve; below ``STIFFNESS_THRESHOLD`` the analytic
 small-parameter laws are used instead (and flagged).  At numerically
-reachable parameters the one-period monodromy matrix is integrated with a
-fixed-step 8th-order scheme and the micromotion content is read off the
-Fourier components of the Floquet eigenfunction.
+reachable parameters the one-period monodromy matrix is integrated with
+the fixed-step RK8 kernel of :mod:`optrap.integrators` (on arrays for a
+scan, on floats for one point; both give the same bits) and the
+micromotion content is read off the Fourier components of the Floquet
+eigenfunction.
 """
 
 import warnings
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnticonfinedAxis, StiffnessWarning
-from .integrators import RK8_A, RK8_B, RK8_C
+from .integrators import rk8_oscillator
 from .model import TrapSetup
 from .units import format_sig
 from . import dipole_trap
@@ -97,44 +99,55 @@ def mathieu_monodromy(a, q, steps: int = DEFAULT_STEPS, store: bool = False):
     """Fundamental matrix of x'' + [a - 2q cos(2 tau)] x = 0 over tau in [0, pi].
 
     Vectorised over leading axes of ``a`` and ``q``: returns shape
-    (..., 2, 2).  With ``store`` the matrix is also recorded at every step
+    (..., 2, 2), rows (position, velocity), columns the two fundamental
+    solutions.  With ``store`` the matrix is also recorded at every step
     endpoint (shape (steps+1, ..., 2, 2)) for eigenfunction analysis.
+    One (a, q) point runs each fundamental solution on floats; an array
+    of points runs both at once on (n, 2) arrays.  The bits are the same.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     a_arr, q_arr = np.broadcast_arrays(np.asarray(a, float), np.asarray(q, float))
-    shape = a_arr.shape
-    a_flat = a_arr.reshape(-1)
-    q_flat = q_arr.reshape(-1)
-    n_sys = a_flat.size
-    y = np.broadcast_to(np.eye(2), (n_sys, 2, 2)).copy()
-    h = np.pi / steps
-    hist = np.empty((steps + 1, n_sys, 2, 2)) if store else None
-    if store:
-        hist[0] = y
-    ks = [None] * 11
-    for n in range(steps):
-        t = n * h
-        for i in range(11):
-            yi = y
-            row = RK8_A[i]
-            for j in range(i):
-                aij = row[j]
-                if aij != 0.0:
-                    yi = yi + (h * aij) * ks[j]
-            coef = a_flat - 2.0 * q_flat * np.cos(2.0 * (t + RK8_C[i] * h))
-            ki = np.empty_like(yi)
-            ki[:, 0, :] = yi[:, 1, :]
-            ki[:, 1, :] = -coef[:, None] * yi[:, 0, :]
-            ks[i] = ki
-        dy = (h * RK8_B[0]) * ks[0]
-        for i in (7, 8, 9, 10):
-            dy = dy + (h * RK8_B[i]) * ks[i]
-        y = y + dy
-        if store:
-            hist[n + 1] = y
-    final = y.reshape(shape + (2, 2))
-    if store:
-        return final, hist.reshape((steps + 1,) + shape + (2, 2))
-    return final
+
+    def solve(a, q, x0, v0):
+        two_q = 2.0 * q
+
+        def accel(tau, x):
+            return -(a - two_q * np.cos(2.0 * tau)) * x
+
+        # the final (x, v), or with ``store`` (x, v) at every step endpoint
+        return rk8_oscillator(accel, 0.0, np.pi / steps, steps, x0, v0,
+                              sample_every=1 if store else 0)[-2:]
+
+    if a_arr.ndim == 0:
+        runs = [solve(float(a_arr), float(q_arr), x0, v0)
+                for x0, v0 in ((1.0, 0.0), (0.0, 1.0))]
+        x, v = (np.stack(column, axis=-1) for column in zip(*runs))
+    else:
+        n_sys = a_arr.size
+        x, v = solve(a_arr.reshape(-1, 1), q_arr.reshape(-1, 1),
+                     np.broadcast_to([1.0, 0.0], (n_sys, 2)),
+                     np.broadcast_to([0.0, 1.0], (n_sys, 2)))
+    lead = (steps + 1,) if store else ()
+    mono = np.stack([x, v], axis=-2).reshape(lead + a_arr.shape + (2, 2))
+    return (mono[-1], mono) if store else mono
+
+
+def _stability(mono):
+    """Stable flags and exponents of monodromy matrices of shape (..., 2, 2).
+
+    Stable means |trace| < 2 strictly; the exponent is then nu
+    (multipliers exp(+-i nu pi)), else the growth rate ln|lambda_max|/pi.
+    """
+    trace = mono[..., 0, 0] + mono[..., 1, 1]
+    stable = np.abs(trace) < 2.0
+    exponent = np.empty_like(trace)
+    cos_arg = np.clip(trace / 2.0, -1.0, 1.0)
+    exponent[stable] = np.arccos(cos_arg[stable]) / np.pi
+    if np.any(~stable):
+        evals = np.linalg.eigvals(mono[~stable])
+        exponent[~stable] = np.log(np.max(np.abs(evals), axis=-1)) / np.pi
+    return stable, exponent
 
 
 def floquet_eigenfunction_spectrum(a: float, q: float,
@@ -147,8 +160,7 @@ def floquet_eigenfunction_spectrum(a: float, q: float,
     (a, q) pair.
     """
     mono, hist = mathieu_monodromy(a, q, steps=steps, store=True)
-    trace = mono[0, 0] + mono[1, 1]
-    if abs(trace) >= 2.0:
+    if not _stability(mono)[0]:
         raise ValueError("Fourier extraction needs a stable Mathieu solution")
     evals, evecs = np.linalg.eig(mono)
     idx = int(np.argmax(evals.imag))
@@ -213,20 +225,17 @@ def monodromy_stability(params, steps: int = DEFAULT_STEPS) -> FloquetResult:
                              from_analytic_law=True)
 
     mono = mathieu_monodromy(a, q, steps=steps)
-    trace = float(mono[0, 0] + mono[1, 1])
+    stable, exponent = _stability(mono)
     evals = np.linalg.eigvals(mono)
-    stable = abs(trace) < 2.0
     if stable:
-        exponent = float(np.arccos(np.clip(trace / 2.0, -1.0, 1.0)) / np.pi)
         nu, coeffs = floquet_eigenfunction_spectrum(a, q, steps=steps)
         ratio = float((abs(coeffs[1]) + abs(coeffs[-1])) / abs(coeffs[0]))
     else:
-        exponent = float(np.log(max(abs(evals))) / np.pi)
         ratio = float("nan")
     return FloquetResult(monodromy_matrix=mono,
                          floquet_multipliers=(complex(evals[0]), complex(evals[1])),
-                         stable=stable,
-                         characteristic_exponent=exponent,
+                         stable=bool(stable),
+                         characteristic_exponent=float(exponent),
                          micromotion_ratio=ratio,
                          from_analytic_law=False)
 
@@ -290,14 +299,6 @@ def stability_scan(a_range, q_range, step, steps: int = DEFAULT_STEPS
     a_vals = _range_values(a_range[0], a_range[1], step_a)
     q_vals = _range_values(q_range[0], q_range[1], step_q)
     aa, qq = np.meshgrid(a_vals, q_vals, indexing="ij")
-    mono = mathieu_monodromy(aa, qq, steps=steps)
-    trace = mono[..., 0, 0] + mono[..., 1, 1]
-    stable = np.abs(trace) < 2.0
-    exponent = np.empty_like(trace)
-    cos_arg = np.clip(trace / 2.0, -1.0, 1.0)
-    exponent[stable] = np.arccos(cos_arg[stable]) / np.pi
-    if np.any(~stable):
-        evals = np.linalg.eigvals(mono[~stable])
-        exponent[~stable] = np.log(np.max(np.abs(evals), axis=-1)) / np.pi
+    stable, exponent = _stability(mathieu_monodromy(aa, qq, steps=steps))
     return StabilityScan(a_values=a_vals, q_values=q_vals,
                          stable=stable, exponent=exponent)

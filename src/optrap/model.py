@@ -7,11 +7,11 @@ closed optical dipole transition at omega_eg with natural linewidth Gamma.
 
 Everything in this module is a pure function of immutable inputs and works
 in strict SI units, angular frequencies in rad/s.  Positions are measured
-from the beam focus; the beam propagates along ``beam.axis``.
+from the beam focus; the beam propagates along z, so the beam frame (x, y
+transverse, z axial) is the lab frame.
 """
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,7 +134,6 @@ class LaserBeam:
     detuning: float              # delta, rad/s
     power: float = None          # W
     peak_intensity: float = None  # W/m^2
-    axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         if not self.wavelength > 0:
@@ -147,13 +146,6 @@ class LaserBeam:
         primary = self.power if self.power is not None else self.peak_intensity
         if not primary >= 0:
             raise ValueError("beam power/intensity must be non-negative")
-        n = np.asarray(self.axis, dtype=float)
-        if n.shape != (3,) or not np.isfinite(n).all():
-            raise ValueError("axis must be a finite 3-vector")
-        norm = float(np.linalg.norm(n))
-        if not norm > 0:
-            raise ValueError("axis must be non-zero")
-        object.__setattr__(self, "axis", tuple(n / norm))
 
     @property
     def omega_laser(self) -> float:
@@ -191,11 +183,8 @@ class LaserBeam:
     def scaled_power(self, factor: float) -> "LaserBeam":
         """Same beam with the power multiplied by ``factor``."""
         if self.power is not None:
-            return LaserBeam(self.wavelength, self.waist_radius, self.detuning,
-                             power=self.power * factor, axis=self.axis)
-        return LaserBeam(self.wavelength, self.waist_radius, self.detuning,
-                         peak_intensity=self.peak_intensity * factor,
-                         axis=self.axis)
+            return replace(self, power=self.power * factor)
+        return replace(self, peak_intensity=self.peak_intensity * factor)
 
 
 @dataclass(frozen=True)
@@ -203,10 +192,10 @@ class TrapSetup:
     """The single input record for all analyses.
 
     static_curvatures are signed squared angular frequencies (rad/s)^2 per
-    axis in the beam frame (two transverse axes, then the propagation
-    axis).  Negative entries describe anti-confining static fields.  The
-    Laplace sum constraint on electrostatic curvatures is the caller's
-    responsibility and deliberately not enforced here.
+    axis: x, y (transverse), then z (the propagation axis).  Negative
+    entries describe anti-confining static fields.  The Laplace sum
+    constraint on electrostatic curvatures is the caller's responsibility
+    and deliberately not enforced here.
     """
 
     ion: IonSpecies
@@ -250,37 +239,14 @@ def setup_from_beam(ion: IonSpecies, beam: LaserBeam, linewidth: float,
 # beam geometry and fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BeamGeometry:
-    rayleigh_range: float            # m
-    wavenumber: float                # 1/m
-    omega_laser: float               # rad/s
-    spot_size: Callable[[float], float]
-
-
-def beam_geometry(beam: LaserBeam) -> BeamGeometry:
-    """Standard TEM00 geometry derived from wavelength and waist."""
-    return BeamGeometry(rayleigh_range=beam.rayleigh_range,
-                        wavenumber=beam.wavenumber,
-                        omega_laser=beam.omega_laser,
-                        spot_size=beam.spot_size)
-
-
-def _axial_transverse(beam: LaserBeam, position):
-    """Split positions (..., 3) into axial coordinate z and transverse r^2."""
-    pos = np.asarray(position, dtype=float)
-    n = np.asarray(beam.axis)
-    z = pos @ n
-    r2 = np.maximum(np.sum(pos * pos, axis=-1) - z * z, 0.0)
-    return z, r2
-
-
 def intensity_at(beam: LaserBeam, position):
     """TEM00 intensity I(r, z) = 2P/(pi w(z)^2) exp(-2 r^2/w(z)^2), W/m^2.
 
     ``position`` is measured from the focus; accepts shape (3,) or (..., 3).
     """
-    z, r2 = _axial_transverse(beam, position)
+    pos = np.asarray(position, dtype=float)
+    z = pos[..., 2]
+    r2 = np.maximum(np.sum(pos * pos, axis=-1) - z * z, 0.0)
     zr = beam.rayleigh_range
     w2 = beam.waist_radius ** 2 * (1.0 + (z / zr) ** 2)
     return 2.0 * beam.beam_power / (np.pi * w2) * np.exp(-2.0 * r2 / w2)
@@ -289,19 +255,18 @@ def intensity_at(beam: LaserBeam, position):
 def intensity_gradient_at(beam: LaserBeam, position):
     """Analytic gradient of :func:`intensity_at`, shape (..., 3), W/m^3."""
     pos = np.asarray(position, dtype=float)
-    n = np.asarray(beam.axis)
-    z = pos @ n
-    r_vec = pos - np.multiply.outer(z, n)
+    z = pos[..., 2]
+    r_vec = pos * (1.0, 1.0, 0.0)
     r2 = np.sum(r_vec * r_vec, axis=-1)
     zr = beam.rayleigh_range
     w0sq = beam.waist_radius ** 2
     w2 = w0sq * (1.0 + (z / zr) ** 2)
     inten = 2.0 * beam.beam_power / (np.pi * w2) * np.exp(-2.0 * r2 / w2)
     # transverse: dI/dr = -4 r I / w^2; axial via dw^2/dz = 2 w0^2 z / zR^2
-    trans = (-4.0 * inten / w2)[..., np.newaxis] * r_vec
+    grad = (-4.0 * inten / w2)[..., np.newaxis] * r_vec
     dw2 = 2.0 * w0sq * z / zr ** 2
-    axial = inten * dw2 * (2.0 * r2 - w2) / w2 ** 2
-    return trans + np.multiply.outer(axial, n)
+    grad[..., 2] = inten * dw2 * (2.0 * r2 - w2) / w2 ** 2
+    return grad
 
 
 @dataclass(frozen=True)
@@ -324,11 +289,6 @@ def field_amplitudes_at(setup: TrapSetup, position) -> FieldAmplitudes:
     return FieldAmplitudes(electric=e_amp,
                            magnetic=e_amp / CONST.c,
                            vector_potential=e_amp / setup.beam.omega_laser)
-
-
-def dipole_from_linewidth(transition: Transition) -> float:
-    """d = sqrt(3 pi eps0 hbar c^3 Gamma / omega_eg^3), C m."""
-    return transition.dipole_moment
 
 
 def rabi_frequency_at(setup: TrapSetup, position):

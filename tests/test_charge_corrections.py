@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from optrap import (IonSpecies, corrections_table, effective_charge,
-                    field_amplitudes_at, monopole_drive, multipole_ratios,
-                    relativistic_ratios)
+from optrap import (IonSpecies, corrections_table, field_amplitudes_at,
+                    monopole_drive, multipole_ratios, relativistic_ratios)
 from optrap.constants import CONST
 
 from conftest import DEPTH, make_reference_setup
@@ -20,14 +19,14 @@ FOCUS = (0.0, 0.0, 0.0)
 def test_effective_charge_limits():
     e = CONST.e_charge
     neutral = IonSpecies.from_amu(24.0, 0.0)
-    assert effective_charge(neutral) == e
+    assert neutral.effective_dipole_charge == e
     cation = IonSpecies.from_amu(24.0, 1.0)
-    correction = (effective_charge(cation) - e) / e
+    correction = (cation.effective_dipole_charge - e) / e
     assert correction == pytest.approx(CONST.m_electron / cation.total_mass,
                                        rel=1e-12)
     assert correction == pytest.approx(2.2857e-5, rel=1e-3)
     anion = IonSpecies.from_amu(24.0, -1.0)
-    assert effective_charge(anion) < e
+    assert anion.effective_dipole_charge < e
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +205,9 @@ def test_ledger_csv_roundtrip(mg_setup):
 
 def test_ledger_json(mg_setup):
     import json
-    from optrap.charge_corrections import to_json_text
-    payload = json.loads(to_json_text(corrections_table(mg_setup)))
+    ledger = corrections_table(mg_setup)
+    payload = json.loads(json.dumps({"depth_J": ledger.depth,
+                                     "entries": ledger.to_json_dict()}))
     assert payload["depth_J"] == pytest.approx(DEPTH, rel=1e-12)
     names = [e["name"] for e in payload["entries"]]
     assert "monopole_coupling" in names

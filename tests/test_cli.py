@@ -101,6 +101,19 @@ def test_float_digits_env(tmp_path, monkeypatch):
     assert report["trap"]["depth_mK"] == pytest.approx(50.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("digits", ["99", "0", "nine"])
+@pytest.mark.parametrize("command,output", [("report", "report.json"),
+                                            ("simulate", "trajectory.csv")])
+def test_bad_float_digits_writes_nothing(tmp_path, monkeypatch, capsys,
+                                         digits, command, output):
+    monkeypatch.setenv("TRAP_FLOAT_DIGITS", digits)
+    out = tmp_path / "out"
+    assert main([command, str(MG24), "--out-dir", str(out)]) == 2
+    assert "TRAP_FLOAT_DIGITS" in capsys.readouterr().err
+    assert not (out / output).exists()
+    assert not out.exists() or not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # stability
 # ---------------------------------------------------------------------------
@@ -133,6 +146,40 @@ def test_stability_bad_range(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
     assert main(["stability", str(MG24), "--a", "1:0:0.1", "--q", "0:1:0.1",
                  "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_stability_bad_steps_flag(tmp_path, capsys, steps):
+    out = tmp_path / "out"
+    assert main(["stability", str(MG24), "--a", "0:0.2:0.1",
+                 "--q", "0:0.2:0.1", "--steps", steps,
+                 "--out-dir", str(out)]) == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not (out / "stability.csv").exists()
+
+
+@pytest.mark.parametrize("steps", ["abc", 0.5, 0])
+def test_stability_bad_config_steps(tmp_path, capsys, mg24_config, steps):
+    cfg = copy.deepcopy(mg24_config)
+    cfg["scan"]["monodromy_steps"] = steps
+    out = tmp_path / "out"
+    assert main(["stability", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)]) == 2
+    assert "scan.monodromy_steps" in capsys.readouterr().err
+    assert not (out / "stability.csv").exists()
+
+
+def test_stability_steps_flag_overrides_config(tmp_path, mg24_config):
+    cfg = copy.deepcopy(mg24_config)
+    cfg["scan"] = {"a_min": 0.0, "a_max": 0.1, "a_step": 0.1,
+                   "q_min": 0.9, "q_max": 0.9, "q_step": 0.1,
+                   "monodromy_steps": 8}
+    path = write_config(tmp_path, cfg)
+    assert main(["stability", str(path), "--out-dir", str(tmp_path / "a")]) == 0
+    assert main(["stability", str(path), "--steps", "256",
+                 "--out-dir", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "stability.csv").read_bytes() \
+        != (tmp_path / "b" / "stability.csv").read_bytes()
 
 
 def test_stability_from_config_scan_block(tmp_path, mg24_config):

@@ -117,6 +117,18 @@ def test_simulate_block_validation():
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("steps", ["abc", 0.5, 0, -5, True, 4096.0])
+def test_monodromy_steps_must_be_positive_integer(steps):
+    cfg = copy.deepcopy(BASE)
+    cfg["scan"] = {"a_min": 0.0, "a_max": 0.2, "a_step": 0.1,
+                   "q_min": 0.0, "q_max": 0.2, "q_step": 0.1,
+                   "monodromy_steps": steps}
+    with pytest.raises(ConfigError, match="scan.monodromy_steps"):
+        parse_config(cfg)
+    cfg["scan"]["monodromy_steps"] = 64
+    assert parse_config(cfg).scan["monodromy_steps"] == 64
+
+
 def test_roundtrip_involutive():
     # parse -> SI -> render returns the input literals to 9 digits
     parsed = parse_config(BASE)

@@ -261,6 +261,13 @@ def test_resonance_rejected():
         make_spec(1.0005)
 
 
+@pytest.mark.parametrize("sample_every", [0, -1])
+def test_driven_nonpositive_sample_every_raises(sample_every):
+    with pytest.raises(ValueError, match="sample_every must be >= 1"):
+        integrate_driven(make_spec(10.0), drive_periods=1,
+                         sample_every=sample_every)
+
+
 # ---------------------------------------------------------------------------
 # equilibrium shift
 # ---------------------------------------------------------------------------

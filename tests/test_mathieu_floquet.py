@@ -21,6 +21,7 @@ from optrap import (mathieu_monodromy, micromotion_ratio_optical,
                     monodromy_stability, optical_mathieu_params,
                     stability_scan, trap_summary)
 from optrap.errors import AnticonfinedAxis, StiffnessWarning
+from optrap.integrators import rk8_oscillator
 from optrap.mathieu_floquet import floquet_eigenfunction_spectrum
 
 from conftest import make_reference_setup
@@ -315,3 +316,81 @@ def test_scan_csv_deterministic():
     header, *rows = one.splitlines()
     assert header == "a,q,stable,exponent"
     assert len(rows) == 9
+
+
+# scan bytes around the a = 0 boundary at the default step count; they
+# change only if the monodromy arithmetic (its operation order) changes
+PINNED_BOUNDARY_CSV = """\
+a,q,stable,exponent
+-0.1,0.86,1,0.624590477
+-0.1,0.88,1,0.655845985
+-0.1,0.9,1,0.68957143
+-0.1,0.92,1,0.726726355
+-0.1,0.94,1,0.769008551
+-0.05,0.86,1,0.704513734
+-0.05,0.88,1,0.740263548
+-0.05,0.9,1,0.781219687
+-0.05,0.92,1,0.831157849
+-0.05,0.94,1,0.903136543
+0,0.86,1,0.793650997
+0,0.88,1,0.842677481
+0,0.9,1,0.915911267
+0,0.92,0,0.102277598
+0,0.94,0,0.166873197
+0.05,0.86,1,0.930540673
+0.05,0.88,0,0.106778331
+0.05,0.9,0,0.165962472
+0.05,0.92,0,0.208804993
+0.05,0.94,0,0.24406581
+0.1,0.86,0,0.165131026
+0.1,0.88,0,0.205390475
+0.1,0.9,0,0.2388779
+0.1,0.92,0,0.268135709
+0.1,0.94,0,0.294421781
+0.15,0.86,0,0.233769401
+0.15,0.88,0,0.261672241
+0.15,0.9,0,0.286859338
+0.15,0.92,0,0.309985681
+0.15,0.94,0,0.331476201
+"""
+
+
+def test_scan_csv_pinned_bytes():
+    grid = stability_scan((-0.1, 0.15), (0.86, 0.94), (0.05, 0.02))
+    assert grid.to_csv_text() == PINNED_BOUNDARY_CSV
+
+
+@pytest.mark.parametrize("a,q", [(0.02, 0.01), (0.05, -0.025), (0.0, 0.90),
+                                 (0.0, 0.92), (0.5, 0.5), (-0.3, 0.6)])
+def test_single_point_matches_batched_monodromy(a, q):
+    # the scan path (batched arrays) and the single-point path (floats)
+    # are one integrator: their matrices agree to the bit
+    res = monodromy_stability((a, q), steps=512)
+    assert np.array_equal(res.monodromy_matrix,
+                          mathieu_monodromy(a, q, steps=512))
+    batch = mathieu_monodromy([a, 0.3], [q, 0.1], steps=512)
+    assert np.array_equal(batch[0], res.monodromy_matrix)
+
+
+def test_stored_history_ends_in_the_monodromy():
+    # the stored path runs the same kernel: on floats for one point and on
+    # arrays for several, with the same bits as the unstored matrix
+    mono, hist = mathieu_monodromy(0.02, 0.01, steps=256, store=True)
+    assert hist.shape == (257, 2, 2)
+    assert np.array_equal(hist[0], np.eye(2))
+    assert np.array_equal(hist[-1], mono)
+    assert np.array_equal(mono, mathieu_monodromy(0.02, 0.01, steps=256))
+    _, batch = mathieu_monodromy([0.02, 0.3], [0.01, 0.1], steps=256,
+                                 store=True)
+    assert batch.shape == (257, 2, 2, 2)
+    assert np.array_equal(batch[:, 0], hist)
+
+
+@pytest.mark.parametrize("steps", [0, -5])
+def test_nonpositive_steps_raise(steps):
+    with pytest.raises(ValueError, match="steps"):
+        mathieu_monodromy(0.1, 0.1, steps=steps)
+    with pytest.raises(ValueError, match="steps"):
+        monodromy_stability((0.1, 0.1), steps=steps)
+    with pytest.raises(ValueError, match="steps"):
+        rk8_oscillator(lambda t, x: -x, 0.0, 0.1, steps, 1.0, 0.0)
