@@ -124,9 +124,10 @@ def run_simulate(args) -> int:
         raise ConfigError("config has no simulate block")
     record = (_simulate_full(parsed, sim) if sim["mode"] == "full"
               else _simulate_driven(parsed, sim))
+    # everything that can fail runs before the one write
+    freq = dominant_frequency(record.times, record.positions[:, 0])
     out = _out_dir(args)
     _atomic_write(out / "trajectory.csv", record.to_csv_text())
-    freq = dominant_frequency(record.times, record.positions[:, 0])
     print(f"final_total_energy_J={format_sig(record.total_energy[-1], 12)} "
           f"dominant_frequency_rad_s={format_sig(freq, digits)} "
           f"samples={len(record.times)}")

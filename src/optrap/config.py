@@ -24,6 +24,13 @@ _SIM_FULL_OPTION_KEYS = {"include_radiation_pressure", "force_model", "rtol",
                          "atol", "samples", "method"}
 _SIM_DRIVEN_OPTION_KEYS = {"omega0_2pi_kHz", "drive_ratio", "field_V_m",
                            "steps_per_period", "drive_periods"}
+# solve_ivp's method names and dynamics.integrate_full's force models
+_SIM_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
+_SIM_FORCE_MODELS = ("exact_log", "low_sat")
+# smallest absolute tolerance: at atol 1e-200 Radau and BDF raise and LSODA
+# never returns; atol = 0 hangs RK45 and DOP853 on state components that
+# stay exactly zero (0/0 error ratios); 1e-100 ends cleanly in every method
+_SIM_MIN_ATOL = 1e-100
 
 
 @dataclass(frozen=True)
@@ -74,11 +81,22 @@ def _number(section: dict, key: str, path: str, *, required=True, default=None,
     return value
 
 
+def _integer(value, name: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, "
+                          f"got {value!r}")
+    return value
+
+
 def check_steps(value, name: str) -> int:
     """A monodromy step count: an integer >= 1 (bools rejected)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
+    return _integer(value, name, 1)
+
+
+def _choice(section: dict, key: str, path: str, allowed):
+    if key in section and section[key] not in allowed:
+        raise ConfigError(f"{path}.{key} must be one of "
+                          f"{', '.join(allowed)}, got {section[key]!r}")
 
 
 def load_config(path) -> ParsedConfig:
@@ -211,10 +229,22 @@ def _validate_simulate(sim: dict):
     initial = sim.get("initial", {})
     if not isinstance(initial, dict):
         raise ConfigError("simulate.initial must be an object")
+    path = "simulate.options"
     if mode == "full":
-        _check_keys(options, _SIM_FULL_OPTION_KEYS, "simulate.options")
+        _check_keys(options, _SIM_FULL_OPTION_KEYS, path)
         _check_keys(initial, {"position_m", "velocity_m_s"}, "simulate.initial")
         _number(sim, "t_end_s", "simulate", minimum=0.0, strict_min=True)
+        _choice(options, "method", path, _SIM_METHODS)
+        _choice(options, "force_model", path, _SIM_FORCE_MODELS)
+        _number(options, "rtol", path, required=False, minimum=0.0,
+                strict_min=True)
+        _number(options, "atol", path, required=False, minimum=_SIM_MIN_ATOL)
+        if "samples" in options:
+            _integer(options["samples"], f"{path}.samples", 2)
+        if not isinstance(options.get("include_radiation_pressure", True),
+                          bool):
+            raise ConfigError(f"{path}.include_radiation_pressure must be "
+                              "true or false")
         for key in ("position_m", "velocity_m_s"):
             vec = initial.get(key, [0.0, 0.0, 0.0])
             if (not isinstance(vec, list) or len(vec) != 3
@@ -223,7 +253,7 @@ def _validate_simulate(sim: dict):
                 raise ConfigError(f"simulate.initial.{key} must be a list of "
                                   "3 finite numbers")
     else:
-        _check_keys(options, _SIM_DRIVEN_OPTION_KEYS, "simulate.options")
+        _check_keys(options, _SIM_DRIVEN_OPTION_KEYS, path)
         _check_keys(initial, {"position_m", "velocity_m_s"}, "simulate.initial")
         for key in ("position_m", "velocity_m_s"):
             if key in initial:
@@ -233,11 +263,14 @@ def _validate_simulate(sim: dict):
                         or not math.isfinite(float(value))):
                     raise ConfigError(f"simulate.initial.{key} must be a "
                                       "finite number (1-D driven motion)")
-        _number(options, "omega0_2pi_kHz", "simulate.options", minimum=0.0,
-                strict_min=True)
-        _number(options, "drive_ratio", "simulate.options", minimum=0.0,
-                strict_min=True)
-        _number(options, "field_V_m", "simulate.options", minimum=0.0)
+        _number(options, "omega0_2pi_kHz", path, minimum=0.0, strict_min=True)
+        _number(options, "drive_ratio", path, minimum=0.0, strict_min=True)
+        _number(options, "field_V_m", path, minimum=0.0)
+        if "steps_per_period" in options:
+            _integer(options["steps_per_period"], f"{path}.steps_per_period",
+                     64)
+        if "drive_periods" in options:
+            check_steps(options["drive_periods"], f"{path}.drive_periods")
         if "t_end_s" in sim:
             _number(sim, "t_end_s", "simulate", minimum=0.0, strict_min=True)
         elif "drive_periods" not in options:

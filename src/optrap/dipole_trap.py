@@ -12,8 +12,14 @@ potential V_eff = (hbar delta / 2) s, which is what the trap depth and
 harmonic frequencies reported here are based on; the log form
 (hbar delta / 2) ln(1 + s) is the exact antiderivative of the dipolar term
 and is available as a separate mode.
+
+s is proportional to the intensity, so grad s = (s0 / I0) grad I with the
+focus values s0 and I0.  That scale depends on the setup only; it is
+computed once per (frozen, hashable) setup and reused by every force
+evaluation on it.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -34,11 +40,20 @@ def saturation_at(setup: TrapSetup, position):
     return 0.5 * omega ** 2 / (delta ** 2 + 0.25 * gamma ** 2)
 
 
+@functools.lru_cache(maxsize=16)
+def _saturation_scale(setup: TrapSetup) -> float:
+    """s0 / I0, the saturation per unit intensity: one value per setup.
+
+    Keyed by the frozen (hashable) setup, so force evaluations along a
+    trajectory compute it once; a setup that differs in any field gets
+    its own entry.
+    """
+    return saturation_at(setup, _FOCUS) / setup.beam.focus_intensity
+
+
 def _saturation_gradient(setup: TrapSetup, position):
     """grad s; s is proportional to intensity so this reuses grad I."""
-    s0 = saturation_at(setup, _FOCUS)
-    i0 = setup.beam.focus_intensity
-    return (s0 / i0) * intensity_gradient_at(setup.beam, position)
+    return _saturation_scale(setup) * intensity_gradient_at(setup.beam, position)
 
 
 def effective_potential_at(setup: TrapSetup, position, mode: str = "low_sat"):

@@ -5,7 +5,11 @@ Two deliberately separate integrations:
 * :func:`integrate_full` follows the secular motion in the full Gaussian
   trap under the optical mean force (the fast optical oscillation is
   excluded by construction, matching the time-scale separation the trap
-  analysis rests on).  Adaptive embedded Runge-Kutta via scipy.
+  analysis rests on).  Adaptive embedded Runge-Kutta via scipy.  What
+  does not change along the trajectory is computed once: the static
+  curvatures' stiffness per run, and the saturation per unit intensity
+  s0/I0 once per setup (cached in :mod:`optrap.dipole_trap`).  Each
+  right-hand-side evaluation calls the public force functions.
 
 * :func:`integrate_driven` solves the charge-monopole driven harmonic
   oscillator M x'' = Q E cos(w_d t) - M w0^2 x with the fixed-step RK8
@@ -21,6 +25,7 @@ restoring force).
 """
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,7 +39,6 @@ from .integrators import rk8_scalar_oscillator
 from .model import TrapSetup
 from .dipole_trap import (dipole_force_at, effective_potential_at,
                           mean_force_at)
-from .units import format_sig
 
 ESCAPE_RADIUS_WAISTS = 100.0
 INITIAL_WARNING_WAISTS = 5.0
@@ -62,12 +66,13 @@ class TrajectoryRecord:
             raise ValueError("times must be strictly increasing")
 
     def to_csv_text(self, digits: int = 12) -> str:
+        # one format string per row; "%.12g" % x == format_sig(x, 12)
+        row_format = ",".join([f"%.{digits}g"] * 10)
         lines = ["t,x,y,z,vx,vy,vz,E_kin,E_pot,E_tot"]
-        for i in range(len(self.times)):
-            row = [self.times[i], *self.positions[i], *self.velocities[i],
-                   self.kinetic_energy[i], self.potential_energy[i],
-                   self.total_energy[i]]
-            lines.append(",".join(format_sig(v, digits) for v in row))
+        for t, pos, vel, kin, pot, tot in zip(
+                self.times, self.positions, self.velocities,
+                self.kinetic_energy, self.potential_energy, self.total_energy):
+            lines.append(row_format % (t, *pos, *vel, kin, pot, tot))
         return "\n".join(lines) + "\n"
 
 
@@ -77,12 +82,6 @@ def _setup_fingerprint(setup: TrapSetup) -> str:
                  setup.beam.detuning, setup.beam.beam_power,
                  setup.static_curvatures, setup.temperature))
     return hashlib.sha1(text.encode()).hexdigest()[:16]
-
-
-def _static_force(setup: TrapSetup, position):
-    """Restoring force of the static curvatures (beam frame = lab frame)."""
-    cur = np.asarray(setup.static_curvatures)
-    return -setup.ion.total_mass * cur * np.asarray(position, dtype=float)
 
 
 def _static_potential(setup: TrapSetup, positions):
@@ -124,6 +123,9 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
         warnings.warn("initial position beyond 5 trap length scales from "
                       "the focus", InitialConditionWarning, stacklevel=2)
     mass = setup.ion.total_mass
+    # restoring force of the static curvatures per metre of displacement
+    # (beam frame = lab frame)
+    static_stiffness = -mass * np.asarray(setup.static_curvatures)
 
     def rhs(_t, y):
         pos = y[:3]
@@ -134,7 +136,7 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
             f = f + force.radiation_pressure
         else:
             f = dipole_force_at(setup, pos, mode=force_model)
-        f = f + _static_force(setup, pos)
+        f = f + static_stiffness * pos
         return np.concatenate([y[3:], f / mass])
 
     def escaped(_t, y):
@@ -257,10 +259,11 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
     nsteps = max(int(np.ceil(t_end / h - 1e-9)), 1)
     h = t_end / nsteps
 
-    qe_over_m = spec.charge * spec.field_amplitude / spec.mass
-    w0_sq = spec.omega0 ** 2
-    wd = spec.drive_frequency
-    cos = np.cos
+    # Python floats throughout, so the RK8 float path stays in float math
+    qe_over_m = float(spec.charge * spec.field_amplitude / spec.mass)
+    w0_sq = float(spec.omega0 ** 2)
+    wd = float(spec.drive_frequency)
+    cos = math.cos
 
     def accel(t, x):
         return qe_over_m * cos(wd * t) - w0_sq * x

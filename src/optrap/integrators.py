@@ -54,7 +54,10 @@ def rk8_oscillator(accel, t0: float, h: float, nsteps: int, x0, v0,
 
     ``x0`` and ``v0`` may be Python floats or numpy arrays of one shape;
     every update builds a new value (never in place), so both run through
-    the same arithmetic in the same order and give the same bits.  With
+    the same arithmetic in the same order and give the same bits.
+    ``accel`` must return the type of ``x``: on the float path a Python
+    float (``math.cos``, not ``np.cos``, of the scalar t), since one numpy
+    scalar would carry every later stage into numpy-scalar arithmetic.  With
     ``sample_every`` > 0, returns (times, positions, velocities) sampled
     at the start and after every that-many steps; otherwise returns only
     the final (x, v).

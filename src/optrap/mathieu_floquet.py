@@ -21,6 +21,7 @@ micromotion content is read off the Fourier components of the Floquet
 eigenfunction.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -113,7 +114,7 @@ def mathieu_monodromy(a, q, steps: int = DEFAULT_STEPS, store: bool = False):
         two_q = 2.0 * q
 
         def accel(tau, x):
-            return -(a - two_q * np.cos(2.0 * tau)) * x
+            return -(a - two_q * math.cos(2.0 * tau)) * x
 
         # the final (x, v), or with ``store`` (x, v) at every step endpoint
         return rk8_oscillator(accel, 0.0, np.pi / steps, steps, x0, v0,

@@ -262,3 +262,56 @@ def test_simulate_escape_is_physics_error(tmp_path, mg24_config):
                                   "samples": 101}
     assert main(["simulate", str(write_config(tmp_path, cfg)),
                  "--out-dir", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("mode,key,value", [
+    ("full", "method", "foo"),
+    ("full", "force_model", "bar"),
+    ("full", "samples", 0),
+    ("full", "samples", 1),
+    ("full", "samples", 2.5),
+    ("full", "samples", True),
+    ("full", "rtol", -1),
+    ("full", "rtol", 0),
+    ("full", "atol", -1e-16),
+    ("full", "atol", 0),
+    ("full", "atol", 1e-200),
+    ("full", "include_radiation_pressure", "yes"),
+    ("driven", "steps_per_period", 10),
+    ("driven", "steps_per_period", 64.0),
+    ("driven", "drive_periods", "x"),
+    ("driven", "drive_periods", 0),
+    ("driven", "drive_periods", True),
+])
+def test_simulate_bad_option_exits_2_before_write(tmp_path, capsys,
+                                                  mg24_config, mode, key,
+                                                  value):
+    cfg = copy.deepcopy(mg24_config)
+    if mode == "driven":
+        cfg["simulate"] = {"mode": "driven", "options": {
+            "omega0_2pi_kHz": 100.0, "drive_ratio": 10.0, "field_V_m": 1.0,
+            "drive_periods": 2}}
+    cfg["simulate"]["t_end_s"] = 1e-7
+    cfg["simulate"]["options"][key] = value
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)]) == 2
+    assert f"simulate.options.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_failure_after_integration_writes_nothing(
+        tmp_path, mg24_config, monkeypatch):
+    from optrap import cli
+    from optrap.errors import PhysicsError
+
+    def fail(times, values):
+        raise PhysicsError("no dominant frequency")
+    monkeypatch.setattr(cli, "dominant_frequency", fail)
+    cfg = copy.deepcopy(mg24_config)
+    cfg["simulate"]["t_end_s"] = 1e-7
+    cfg["simulate"]["options"]["samples"] = 9
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)]) == 3
+    assert not (out / "trajectory.csv").exists()

@@ -309,3 +309,30 @@ def test_power_linearity(mg_setup):
         2 * s1.scattering_rate_at_focus, rel=1e-12)
     assert s2.optical_trap_frequencies[0] ** 2 == pytest.approx(
         2 * s1.optical_trap_frequencies[0] ** 2, rel=1e-12)
+
+
+def test_saturation_scale_does_not_leak_across_setups():
+    # the per-setup s0/I0 is cached; alternating two setups that differ
+    # only in detuning must give each one the force evaluated from scratch
+    from optrap import LaserBeam, setup_from_beam
+    from optrap.model import intensity_gradient_at
+
+    def fresh(setup, pos, mode):
+        scale = saturation_at(setup, FOCUS) / setup.beam.focus_intensity
+        grad_s = scale * intensity_gradient_at(setup.beam, pos)
+        half = 0.5 * CONST.hbar * setup.beam.detuning
+        if mode == "low_sat":
+            return -half * grad_s
+        return -half / (1.0 + saturation_at(setup, pos))[..., np.newaxis] * grad_s
+
+    near = make_reference_setup()
+    far = setup_from_beam(near.ion, LaserBeam(
+        wavelength=WAVELENGTH, waist_radius=WAIST, detuning=2.0 * DETUNING,
+        power=near.beam.beam_power), LINEWIDTH)
+    positions = [(3e-6, -1e-6, 2e-5),
+                 np.array([[1e-6, 0.0, 0.0], [0.0, 2e-6, -1e-5]])]
+    for setup in (near, far, near, far, far, near):
+        for pos in positions:
+            for mode in ("low_sat", "exact_log"):
+                assert np.array_equal(dipole_force_at(setup, pos, mode=mode),
+                                      fresh(setup, pos, mode))

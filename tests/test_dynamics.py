@@ -1,5 +1,7 @@
 """Trajectory integration, the driven oscillator, equilibrium shift."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -316,3 +318,41 @@ def test_dominant_frequency_synthetic():
     t = np.linspace(0.0, 400 * 2 * np.pi / omega, 32768)
     freq = dominant_frequency(t, 3e-8 * np.cos(omega * t + 0.4))
     assert freq == pytest.approx(omega, rel=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# pinned trajectory bytes
+# ---------------------------------------------------------------------------
+# The expected files come from an implementation that evaluated np.cos in
+# the RK8 accelerations, s0/I0 on every force call and format_sig on every
+# CSV cell; computing those invariants once must reproduce every byte.
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_driven_csv_pinned_bytes():
+    from optrap.constants import CONST
+    omega0 = 2e5 * np.pi
+    spec = DrivenOscillatorSpec(
+        omega0=omega0, drive_frequency=100.0 * omega0, charge=CONST.e_charge,
+        field_amplitude=1.0, mass=24.0 * CONST.atomic_mass_unit, x0=1e-8)
+    text = integrate_driven(spec, drive_periods=2).to_csv_text()
+    assert text == (DATA / "trajectory_driven_2_periods.csv").read_text()
+
+
+def test_full_low_sat_csv_pinned_bytes(mg_setup):
+    record = integrate_full(mg_setup, ((7e-8, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                            5e-6, include_radiation_pressure=False,
+                            force_model="low_sat", samples=9)
+    assert record.to_csv_text() == (
+        DATA / "trajectory_full_low_sat.csv").read_text()
+
+
+def test_full_exact_log_radiation_csv_pinned_bytes():
+    # static curvatures on every axis exercise the hoisted static force
+    setup = make_reference_setup(static=(1e10, 2e10, 3e10))
+    record = integrate_full(setup, ((5e-8, 2e-8, 1e-7), (0.01, 0.0, 0.0)),
+                            5e-6, include_radiation_pressure=True,
+                            force_model="exact_log", samples=9)
+    assert record.to_csv_text() == (
+        DATA / "trajectory_full_exact_log_radiation.csv").read_text()
