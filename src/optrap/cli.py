@@ -19,7 +19,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ParsedConfig, check_steps, load_config
+from .config import (block_range, check_scan, check_steps, load_config,
+                     range_flag)
 from .dynamics import (DrivenOscillatorSpec, dominant_frequency,
                        integrate_driven, integrate_full)
 from .errors import ConfigError, PhysicsError, TrapError
@@ -67,45 +68,22 @@ def run_report(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str, name: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--{name} must be min:max:step")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"--{name} must contain numbers: {text!r}") from exc
-    return lo, hi, step
-
-
 def run_stability(args) -> int:
     parsed = load_config(args.config)
-    scan_cfg = parsed.scan
-    if args.a is not None:
-        a_min, a_max, a_step = _parse_range(args.a, "a")
-    elif scan_cfg:
-        a_min, a_max, a_step = (scan_cfg["a_min"], scan_cfg["a_max"],
-                                scan_cfg["a_step"])
-    else:
-        raise ConfigError("no --a range given and no scan block in config")
-    if args.q is not None:
-        q_min, q_max, q_step = _parse_range(args.q, "q")
-    elif scan_cfg:
-        q_min, q_max, q_step = (scan_cfg["q_min"], scan_cfg["q_max"],
-                                scan_cfg["q_step"])
-    else:
-        raise ConfigError("no --q range given and no scan block in config")
-    if args.steps is not None:
-        steps = check_steps(args.steps, "--steps")
-    else:
-        steps = scan_cfg.get("monodromy_steps", DEFAULT_STEPS)
-    for name, (lo, hi, step) in (("a", (a_min, a_max, a_step)),
-                                 ("q", (q_min, q_max, q_step))):
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"bad {name} range: need min <= max and "
-                              "step > 0")
+    axes = []
+    for name, flag in (("a", args.a), ("q", args.q)):
+        if flag is not None:
+            axes.append(range_flag(flag, name))
+        elif parsed.scan:
+            axes.append(block_range(parsed.scan, name))
+        else:
+            raise ConfigError(f"no --{name} range given and no scan block "
+                              "in config")
+    a_range, q_range = check_scan(axes)
+    steps = (check_steps(args.steps, "--steps") if args.steps is not None
+             else parsed.scan.get("monodromy_steps", DEFAULT_STEPS))
 
-    grid = stability_scan((a_min, a_max), (q_min, q_max), (a_step, q_step),
+    grid = stability_scan(a_range[:2], q_range[:2], (a_range[2], q_range[2]),
                           steps=steps)
     out = _out_dir(args)
     # the CSV interface is pinned at 9 significant digits; the env var
@@ -122,8 +100,25 @@ def run_simulate(args) -> int:
     sim = parsed.simulate
     if not sim:
         raise ConfigError("config has no simulate block")
-    record = (_simulate_full(parsed, sim) if sim["mode"] == "full"
-              else _simulate_driven(parsed, sim))
+    if sim["mode"] == "full":
+        # the option keys are integrate_full's keyword names, and its
+        # defaults apply to every option the config leaves out
+        record = integrate_full(parsed.setup, sim["initial"], sim["t_end_s"],
+                                **sim["options"])
+    else:
+        options = sim["options"]
+        omega0 = rad_s_from_2pi_hz(options["omega0_2pi_kHz"] * 1e3)
+        x0, v0 = sim["initial"]
+        spec = DrivenOscillatorSpec(
+            omega0=omega0, drive_frequency=options["drive_ratio"] * omega0,
+            charge=parsed.setup.ion.total_charge,
+            field_amplitude=options["field_V_m"],
+            mass=parsed.setup.ion.total_mass, x0=x0, v0=v0)
+        kwargs = ({"t_end": sim["t_end_s"]} if "t_end_s" in sim
+                  else {"drive_periods": options["drive_periods"]})
+        if "steps_per_period" in options:
+            kwargs["steps_per_period"] = options["steps_per_period"]
+        record = integrate_driven(spec, **kwargs)
     # everything that can fail runs before the one write
     freq = dominant_frequency(record.times, record.positions[:, 0])
     out = _out_dir(args)
@@ -132,41 +127,6 @@ def run_simulate(args) -> int:
           f"dominant_frequency_rad_s={format_sig(freq, digits)} "
           f"samples={len(record.times)}")
     return EXIT_OK
-
-
-def _simulate_full(parsed: ParsedConfig, sim: dict):
-    initial = sim.get("initial", {})
-    position = tuple(initial.get("position_m", (0.0, 0.0, 0.0)))
-    velocity = tuple(initial.get("velocity_m_s", (0.0, 0.0, 0.0)))
-    options = sim.get("options", {})
-    return integrate_full(
-        parsed.setup, (position, velocity), sim["t_end_s"],
-        include_radiation_pressure=options.get("include_radiation_pressure",
-                                               True),
-        force_model=options.get("force_model", "exact_log"),
-        rtol=options.get("rtol", 1e-10), atol=options.get("atol", 1e-16),
-        samples=int(options.get("samples", 4097)),
-        method=options.get("method", "RK45"))
-
-
-def _simulate_driven(parsed: ParsedConfig, sim: dict):
-    options = sim.get("options", {})
-    initial = sim.get("initial", {})
-    omega0 = rad_s_from_2pi_hz(options["omega0_2pi_kHz"] * 1e3)
-    spec = DrivenOscillatorSpec(
-        omega0=omega0,
-        drive_frequency=options["drive_ratio"] * omega0,
-        charge=parsed.setup.ion.total_charge,
-        field_amplitude=options["field_V_m"],
-        mass=parsed.setup.ion.total_mass,
-        x0=float(initial.get("position_m", 0.0)),
-        v0=float(initial.get("velocity_m_s", 0.0)))
-    kwargs = {"steps_per_period": int(options.get("steps_per_period", 64))}
-    if "t_end_s" in sim:
-        kwargs["t_end"] = sim["t_end_s"]
-    else:
-        kwargs["drive_periods"] = int(options["drive_periods"])
-    return integrate_driven(spec, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,10 +163,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
+        # OSError: an unreadable config or an unusable output directory
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PhysicsError as exc:

@@ -17,6 +17,8 @@ from .constants import CONST
 from .errors import ConfigError
 from .model import IonSpecies, LaserBeam, TrapSetup, setup_from_beam
 from .dipole_trap import effective_potential_at, power_for_depth
+from .dynamics import MIN_ATOL
+from .mathieu_floquet import grid_count
 from . import units
 
 
@@ -27,10 +29,9 @@ _SIM_DRIVEN_OPTION_KEYS = {"omega0_2pi_kHz", "drive_ratio", "field_V_m",
 # solve_ivp's method names and dynamics.integrate_full's force models
 _SIM_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
 _SIM_FORCE_MODELS = ("exact_log", "low_sat")
-# smallest absolute tolerance: at atol 1e-200 Radau and BDF raise and LSODA
-# never returns; atol = 0 hangs RK45 and DOP853 on state components that
-# stay exactly zero (0/0 error ratios); 1e-100 ends cleanly in every method
-_SIM_MIN_ATOL = 1e-100
+# most (a, q) cells one stability scan may have: the batched scan peaks at
+# about 0.5 kB per cell (tracemalloc, 2,500 to 40,000 cells), so ~0.5 GB
+MAX_SCAN_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -41,18 +42,19 @@ class ParsedConfig:
     beam_spec_mode: str            # "power" or "depth"
     beam_spec_value: float         # the literal from the file (mW or mK)
     blackbody_prefactor: float
-    simulate: dict                 # {} when absent
+    simulate: dict                 # {} when absent; "initial" a (pos, vel) pair
     scan: dict                     # {} when absent
     raw: dict                      # the config exactly as read (echoed in reports)
 
 
-def _require_section(cfg: dict, name: str) -> dict:
+def _section(cfg: dict, name: str, required=False, path="") -> dict:
     if name not in cfg:
-        raise ConfigError(f"missing section: {name}")
-    section = cfg[name]
-    if not isinstance(section, dict):
-        raise ConfigError(f"section {name} must be an object")
-    return section
+        if required:
+            raise ConfigError(f"missing section: {name}")
+        return {}
+    if not isinstance(cfg[name], dict):
+        raise ConfigError(f"section {path}{name} must be an object")
+    return cfg[name]
 
 
 def _check_keys(section: dict, allowed, path: str):
@@ -81,6 +83,15 @@ def _number(section: dict, key: str, path: str, *, required=True, default=None,
     return value
 
 
+def _vector3(section: dict, key: str, path: str) -> tuple:
+    values = section.get(key, [0.0, 0.0, 0.0])
+    if (not isinstance(values, list) or len(values) != 3
+            or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   or not math.isfinite(float(v)) for v in values)):
+        raise ConfigError(f"{path}.{key} must be a list of 3 finite numbers")
+    return tuple(float(v) for v in values)
+
+
 def _integer(value, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, "
@@ -99,13 +110,53 @@ def _choice(section: dict, key: str, path: str, allowed):
                           f"{', '.join(allowed)}, got {section[key]!r}")
 
 
+def range_flag(text: str, name: str) -> tuple:
+    """(``--name``, (min, max, step)) from a ``min:max:step`` flag."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"--{name} must be min:max:step")
+    try:
+        return f"--{name}", tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"--{name} must contain numbers: {text!r}") from exc
+
+
+def block_range(scan: dict, name: str) -> tuple:
+    """(key names, (min, max, step)) of one axis of a scan block."""
+    keys = tuple(f"{name}_{end}" for end in ("min", "max", "step"))
+    return "scan." + "/".join(keys), tuple(_number(scan, key, "scan")
+                                           for key in keys)
+
+
+def check_scan(axes) -> list:
+    """The grid-range rule of every stability scan, flag or config.
+
+    ``axes`` holds (name, (min, max, step)) pairs.  Every value must be
+    finite, min <= max and step > 0, and the grid at most
+    ``MAX_SCAN_CELLS`` cells.  Returns the (min, max, step) triples.
+    """
+    cells = 1
+    for name, (lo, hi, step) in axes:
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise ConfigError(f"{name} must be finite, got {lo}:{hi}:{step}")
+        if step <= 0 or hi < lo:
+            raise ConfigError(f"{name} needs min <= max and step > 0, got "
+                              f"{lo}:{hi}:{step}")
+        cells *= grid_count(lo, hi, step)
+    if cells > MAX_SCAN_CELLS:
+        raise ConfigError(f"{' x '.join(name for name, _ in axes)} grid has "
+                          f"{cells:.3g} cells, more than {MAX_SCAN_CELLS}")
+    return [values for _, values in axes]
+
+
 def load_config(path) -> ParsedConfig:
     """Read and validate a JSON configuration file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_config(raw)
 
 
@@ -115,13 +166,13 @@ def parse_config(raw: dict) -> ParsedConfig:
     _check_keys(raw, {"ion", "transition", "laser", "static", "environment",
                       "blackbody", "simulate", "scan"}, "config")
 
-    ion_cfg = _require_section(raw, "ion")
+    ion_cfg = _section(raw, "ion", required=True)
     _check_keys(ion_cfg, {"mass_u", "charge_e"}, "ion")
     mass_u = _number(ion_cfg, "mass_u", "ion", minimum=0.0, strict_min=True)
     charge_e = _number(ion_cfg, "charge_e", "ion")
     ion = IonSpecies.from_amu(mass_u, charge_e)
 
-    tr_cfg = _require_section(raw, "transition")
+    tr_cfg = _section(raw, "transition", required=True)
     _check_keys(tr_cfg, {"wavelength_nm", "linewidth_2pi_MHz"}, "transition")
     wavelength = units.metre_from_nm(
         _number(tr_cfg, "wavelength_nm", "transition", minimum=0.0,
@@ -130,7 +181,7 @@ def parse_config(raw: dict) -> ParsedConfig:
         _number(tr_cfg, "linewidth_2pi_MHz", "transition", minimum=0.0,
                 strict_min=True))
 
-    laser_cfg = _require_section(raw, "laser")
+    laser_cfg = _section(raw, "laser", required=True)
     _check_keys(laser_cfg, {"waist_um", "detuning_2pi_GHz", "power_mW",
                             "depth_mK"}, "laser")
     waist = units.metre_from_um(
@@ -142,74 +193,48 @@ def parse_config(raw: dict) -> ParsedConfig:
     if has_power == has_depth:
         raise ConfigError("laser needs exactly one of power_mW, depth_mK")
 
-    static_cfg = raw.get("static", {})
-    if not isinstance(static_cfg, dict):
-        raise ConfigError("section static must be an object")
+    static_cfg = _section(raw, "static")
     _check_keys(static_cfg, {"curvatures_2pi_kHz_squared"}, "static")
-    curvatures = (0.0, 0.0, 0.0)
-    if "curvatures_2pi_kHz_squared" in static_cfg:
-        values = static_cfg["curvatures_2pi_kHz_squared"]
-        if (not isinstance(values, list) or len(values) != 3
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       or not math.isfinite(float(v)) for v in values)):
-            raise ConfigError("static.curvatures_2pi_kHz_squared must be a "
-                              "list of 3 finite numbers")
-        curvatures = tuple(units.curvature_from_2pi_khz_sq(float(v))
-                           for v in values)
+    curvatures = tuple(units.curvature_from_2pi_khz_sq(v) for v in _vector3(
+        static_cfg, "curvatures_2pi_kHz_squared", "static"))
 
-    env_cfg = raw.get("environment", {})
-    if not isinstance(env_cfg, dict):
-        raise ConfigError("section environment must be an object")
+    env_cfg = _section(raw, "environment")
     _check_keys(env_cfg, {"temperature_K"}, "environment")
     temperature = _number(env_cfg, "temperature_K", "environment",
                           required=False, default=300.0, minimum=0.0)
 
-    bb_cfg = raw.get("blackbody", {})
-    if not isinstance(bb_cfg, dict):
-        raise ConfigError("section blackbody must be an object")
+    bb_cfg = _section(raw, "blackbody")
     _check_keys(bb_cfg, {"prefactor_multiplier"}, "blackbody")
     prefactor = _number(bb_cfg, "prefactor_multiplier", "blackbody",
                         required=False, default=1.0, minimum=0.0,
                         strict_min=True)
 
-    simulate = raw.get("simulate", {})
-    if not isinstance(simulate, dict):
-        raise ConfigError("section simulate must be an object")
+    simulate = _section(raw, "simulate")
     if simulate:
-        _validate_simulate(simulate)
+        simulate = _validate_simulate(simulate)
 
-    scan = raw.get("scan", {})
-    if not isinstance(scan, dict):
-        raise ConfigError("section scan must be an object")
+    scan = _section(raw, "scan")
     if scan:
         _check_keys(scan, {"a_min", "a_max", "a_step", "q_min", "q_max",
                            "q_step", "monodromy_steps"}, "scan")
-        for key in ("a_min", "a_max", "a_step", "q_min", "q_max", "q_step"):
-            _number(scan, key, "scan")
+        check_scan([block_range(scan, "a"), block_range(scan, "q")])
         if "monodromy_steps" in scan:
             check_steps(scan["monodromy_steps"], "scan.monodromy_steps")
 
-    if has_power:
-        mode = "power"
-        literal = _number(laser_cfg, "power_mW", "laser", minimum=0.0)
-        beam = LaserBeam(wavelength=wavelength, waist_radius=waist,
-                         detuning=detuning,
-                         power=units.watt_from_mw(literal))
-    else:
-        mode = "depth"
-        literal = _number(laser_cfg, "depth_mK", "laser", minimum=0.0,
-                          strict_min=True)
-        if detuning >= 0:
-            raise ConfigError("depth_mK requires red detuning "
-                              "(negative detuning_2pi_GHz)")
-        probe = LaserBeam(wavelength=wavelength, waist_radius=waist,
+    mode, key = ("power", "power_mW") if has_power else ("depth", "depth_mK")
+    literal = _number(laser_cfg, key, "laser", minimum=0.0, strict_min=True)
+    unit_beam = LaserBeam(wavelength=wavelength, waist_radius=waist,
                           detuning=detuning, power=1.0)
-        probe_setup = setup_from_beam(ion, probe, linewidth)
-        power = power_for_depth(probe_setup, units.joule_from_mk(literal))
-        beam = LaserBeam(wavelength=wavelength, waist_radius=waist,
-                         detuning=detuning, power=power)
+    if has_power:
+        power = units.watt_from_mw(literal)
+    elif detuning >= 0:
+        raise ConfigError("depth_mK requires red detuning "
+                          "(negative detuning_2pi_GHz)")
+    else:
+        power = power_for_depth(setup_from_beam(ion, unit_beam, linewidth),
+                                units.joule_from_mk(literal))
 
-    setup = setup_from_beam(ion, beam, linewidth,
+    setup = setup_from_beam(ion, unit_beam.scaled_power(power), linewidth,
                             static_curvatures=curvatures,
                             temperature=temperature)
     return ParsedConfig(setup=setup, beam_spec_mode=mode,
@@ -218,51 +243,38 @@ def parse_config(raw: dict) -> ParsedConfig:
                         simulate=simulate, scan=scan, raw=raw)
 
 
-def _validate_simulate(sim: dict):
+def _validate_simulate(sim: dict) -> dict:
+    """Check a simulate block; fill in "options" and "initial"."""
     _check_keys(sim, {"mode", "initial", "t_end_s", "options"}, "simulate")
     mode = sim.get("mode")
     if mode not in ("full", "driven"):
         raise ConfigError("simulate.mode must be 'full' or 'driven'")
-    options = sim.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError("simulate.options must be an object")
-    initial = sim.get("initial", {})
-    if not isinstance(initial, dict):
-        raise ConfigError("simulate.initial must be an object")
+    options = _section(sim, "options", path="simulate.")
+    initial = _section(sim, "initial", path="simulate.")
+    keys = ("position_m", "velocity_m_s")
+    _check_keys(initial, keys, "simulate.initial")
     path = "simulate.options"
     if mode == "full":
         _check_keys(options, _SIM_FULL_OPTION_KEYS, path)
-        _check_keys(initial, {"position_m", "velocity_m_s"}, "simulate.initial")
+        initial = tuple(_vector3(initial, key, "simulate.initial")
+                        for key in keys)
         _number(sim, "t_end_s", "simulate", minimum=0.0, strict_min=True)
         _choice(options, "method", path, _SIM_METHODS)
         _choice(options, "force_model", path, _SIM_FORCE_MODELS)
         _number(options, "rtol", path, required=False, minimum=0.0,
                 strict_min=True)
-        _number(options, "atol", path, required=False, minimum=_SIM_MIN_ATOL)
+        _number(options, "atol", path, required=False, minimum=MIN_ATOL)
         if "samples" in options:
             _integer(options["samples"], f"{path}.samples", 2)
         if not isinstance(options.get("include_radiation_pressure", True),
                           bool):
             raise ConfigError(f"{path}.include_radiation_pressure must be "
                               "true or false")
-        for key in ("position_m", "velocity_m_s"):
-            vec = initial.get(key, [0.0, 0.0, 0.0])
-            if (not isinstance(vec, list) or len(vec) != 3
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                           or not math.isfinite(float(v)) for v in vec)):
-                raise ConfigError(f"simulate.initial.{key} must be a list of "
-                                  "3 finite numbers")
     else:
         _check_keys(options, _SIM_DRIVEN_OPTION_KEYS, path)
-        _check_keys(initial, {"position_m", "velocity_m_s"}, "simulate.initial")
-        for key in ("position_m", "velocity_m_s"):
-            if key in initial:
-                value = initial[key]
-                if (isinstance(value, bool)
-                        or not isinstance(value, (int, float))
-                        or not math.isfinite(float(value))):
-                    raise ConfigError(f"simulate.initial.{key} must be a "
-                                      "finite number (1-D driven motion)")
+        # 1-D driven motion: scalar initial conditions
+        initial = tuple(_number(initial, key, "simulate.initial",
+                                required=False, default=0.0) for key in keys)
         _number(options, "omega0_2pi_kHz", path, minimum=0.0, strict_min=True)
         _number(options, "drive_ratio", path, minimum=0.0, strict_min=True)
         _number(options, "field_V_m", path, minimum=0.0)
@@ -276,6 +288,7 @@ def _validate_simulate(sim: dict):
         elif "drive_periods" not in options:
             raise ConfigError("driven simulate needs t_end_s or "
                               "options.drive_periods")
+    return {**sim, "options": options, "initial": initial}
 
 
 def render_config(parsed: ParsedConfig) -> dict:

@@ -34,14 +34,5 @@ class PhysicalConstants:
 
 CODATA2018 = PhysicalConstants()
 
-# module-level aliases for the common case
+# module-level alias for the common case
 CONST = CODATA2018
-hbar = CONST.hbar
-c = CONST.c
-eps0 = CONST.eps0
-kB = CONST.kB
-e_charge = CONST.e_charge
-m_electron = CONST.m_electron
-atomic_mass_unit = CONST.atomic_mass_unit
-bohr_radius = CONST.bohr_radius
-fine_structure_alpha = CONST.fine_structure_alpha

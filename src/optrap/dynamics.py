@@ -42,6 +42,10 @@ from .dipole_trap import (dipole_force_at, effective_potential_at,
 
 ESCAPE_RADIUS_WAISTS = 100.0
 INITIAL_WARNING_WAISTS = 5.0
+# smallest absolute tolerance: at atol 1e-200 Radau and BDF raise and LSODA
+# never returns; atol = 0 hangs RK45 and DOP853 on state components that
+# stay exactly zero (0/0 error ratios); 1e-100 ends cleanly in every method
+MIN_ATOL = 1e-100
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,12 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     force and potential.
 
     Raises :class:`EscapedTrap` past 100 waists and :class:`StepFailure`
-    if the tolerances cannot be met.
+    if the tolerances cannot be met; ``ValueError`` for ``atol`` below
+    ``MIN_ATOL`` or ``rtol`` <= 0.
     """
+    if not (atol >= MIN_ATOL and rtol > 0):
+        raise ValueError(f"need atol >= {MIN_ATOL:g} and rtol > 0, got "
+                         f"atol={atol!r}, rtol={rtol!r}")
     position0 = np.asarray(initial[0], dtype=float)
     velocity0 = np.asarray(initial[1], dtype=float)
     if position0.shape != (3,) or velocity0.shape != (3,):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnticonfinedAxis, StiffnessWarning
+from .errors import AnticonfinedAxis, PhysicsError, StiffnessWarning
 from .integrators import rk8_oscillator
 from .model import TrapSetup
 from .units import format_sig
@@ -140,6 +140,9 @@ def _stability(mono):
     Stable means |trace| < 2 strictly; the exponent is then nu
     (multipliers exp(+-i nu pi)), else the growth rate ln|lambda_max|/pi.
     """
+    if not np.all(np.isfinite(mono)):
+        raise PhysicsError("monodromy matrix overflows: |a| or |q| is too "
+                           "large to integrate over one period")
     trace = mono[..., 0, 0] + mono[..., 1, 1]
     stable = np.abs(trace) < 2.0
     exponent = np.empty_like(trace)
@@ -276,13 +279,18 @@ class StabilityScan:
         return "\n".join(lines) + "\n"
 
 
+def grid_count(lo: float, hi: float, step: float):
+    """Number of scan values lo, lo + step, ... <= hi (inf past float range)."""
+    ratio = (hi - lo) / step + 1e-9
+    return math.floor(ratio) + 1 if math.isfinite(ratio) else math.inf
+
+
 def _range_values(lo: float, hi: float, step: float) -> np.ndarray:
     if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(step)):
         raise ValueError("scan range must be finite")
     if step <= 0 or hi < lo:
         raise ValueError("scan range must satisfy lo <= hi with step > 0")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    return lo + step * np.arange(grid_count(lo, hi, step))
 
 
 def stability_scan(a_range, q_range, step, steps: int = DEFAULT_STEPS

@@ -8,7 +8,7 @@ reference orders are fixed comparison anchors; they are not recomputed
 for other configurations.
 """
 
-from .errors import AnticonfinedAxis
+from .errors import AnticonfinedAxis, PhysicsError
 from .config import ParsedConfig
 from .charge_corrections import corrections_table
 from .dipole_trap import trap_summary
@@ -46,6 +46,9 @@ def build_report(parsed: ParsedConfig) -> dict:
     """Deterministic report dictionary for a validated configuration."""
     setup = parsed.setup
     summary = trap_summary(setup)
+    if not 0.0 < summary.omega0 < float("inf"):
+        raise PhysicsError("no axis has a positive finite secular frequency "
+                           f"(omega0 = {summary.omega0:g} rad/s)")
     ledger = corrections_table(setup,
                                blackbody_prefactor=parsed.blackbody_prefactor)
     heating = blackbody.heating_rate(

@@ -10,7 +10,7 @@ import math
 
 TWO_PI = 2.0 * math.pi
 
-from .constants import kB
+from .constants import CONST
 
 
 def rad_s_from_2pi_hz(f):
@@ -50,11 +50,11 @@ def curvature_to_2pi_khz_sq(c):
 
 def joule_from_mk(t_mk):
     """Energy from an equivalent temperature in millikelvin."""
-    return kB * t_mk * 1e-3
+    return CONST.kB * t_mk * 1e-3
 
 
 def mk_from_joule(energy):
-    return energy / kB * 1e3
+    return energy / CONST.kB * 1e3
 
 
 def metre_from_nm(x):

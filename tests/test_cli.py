@@ -315,3 +315,76 @@ def test_simulate_failure_after_integration_writes_nothing(
     assert main(["simulate", str(write_config(tmp_path, cfg)),
                  "--out-dir", str(out)]) == 3
     assert not (out / "trajectory.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the input boundary: a bad input exits 2 or 3, names the problem and
+# writes nothing
+# ---------------------------------------------------------------------------
+
+_BAD_RANGES = ["nan:1:0.1", "0:inf:0.1", "0:1:inf", "0:1:1e-13",
+               "-1e308:1e308:1"]
+
+
+def _range_flag(tmp_path, cfg, text):
+    return ["stability", str(MG24), f"--a={text}", "--q", "0:0.1:0.1"]
+
+
+def _range_block(tmp_path, cfg, text):
+    lo, hi, step = (float(v) for v in text.split(":"))
+    cfg["scan"] = {"a_min": lo, "a_max": hi, "a_step": step,
+                   "q_min": 0.0, "q_max": 0.1, "q_step": 0.1}
+    return ["stability", str(write_config(tmp_path, cfg))]
+
+
+def _report_power(tmp_path, cfg, power):
+    del cfg["laser"]["depth_mK"]
+    cfg["laser"]["power_mW"] = power
+    return ["report", str(write_config(tmp_path, cfg))]
+
+
+def _report_curvatures(tmp_path, cfg, curvatures):
+    cfg["static"]["curvatures_2pi_kHz_squared"] = curvatures
+    return ["report", str(write_config(tmp_path, cfg))]
+
+
+def _config_is_directory(tmp_path, cfg, _):
+    (tmp_path / "cfg_dir").mkdir()
+    return ["report", str(tmp_path / "cfg_dir")]
+
+
+def _config_not_utf8(tmp_path, cfg, _):
+    path = tmp_path / "cfg_utf16.json"
+    path.write_bytes(json.dumps(cfg).encode("utf-16"))
+    return ["report", str(path)]
+
+
+def _out_dir_is_file(tmp_path, cfg, _):
+    (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+    return ["report", str(MG24), "--out-dir", str(tmp_path / "taken")]
+
+
+@pytest.mark.parametrize("make,value,code,named", [
+    *[pytest.param(_range_flag, text, 2, "--a", id=f"flag-{text}")
+      for text in _BAD_RANGES],
+    *[pytest.param(_range_block, text, 2, "scan.a_", id=f"block-{text}")
+      for text in _BAD_RANGES],
+    pytest.param(_report_power, 0, 2, "laser.power_mW", id="power-0"),
+    pytest.param(_report_power, 1e-300, 3, "secular frequency",
+                 id="power-underflow"),
+    pytest.param(_report_curvatures, [-1e12] * 3, 3, "secular frequency",
+                 id="all-anticonfined"),
+    pytest.param(_config_is_directory, None, 2, "cfg_dir", id="config-dir"),
+    pytest.param(_config_not_utf8, None, 2, "cfg_utf16.json",
+                 id="config-not-utf8"),
+    pytest.param(_out_dir_is_file, None, 2, "taken", id="out-dir-is-file"),
+])
+def test_bad_input_exits_2_or_3_and_writes_nothing(
+        tmp_path, capsys, mg24_config, make, value, code, named):
+    argv = make(tmp_path, copy.deepcopy(mg24_config), value)
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", str(tmp_path / "out")]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == code
+    assert named in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before

@@ -356,3 +356,18 @@ def test_full_exact_log_radiation_csv_pinned_bytes():
                             force_model="exact_log", samples=9)
     assert record.to_csv_text() == (
         DATA / "trajectory_full_exact_log_radiation.csv").read_text()
+
+
+@pytest.mark.parametrize("rtol,atol", [(1e-10, 0.0), (1e-10, 1e-200),
+                                       (1e-10, float("nan")), (0.0, 1e-16),
+                                       (-1e-10, 1e-16)])
+def test_integrate_full_rejects_bad_tolerances_before_solving(
+        mg_setup, monkeypatch, rtol, atol):
+    from optrap import dynamics
+
+    def never(*args, **kwargs):
+        raise AssertionError("solve_ivp was called")
+    monkeypatch.setattr(dynamics, "solve_ivp", never)
+    with pytest.raises(ValueError, match="atol"):
+        integrate_full(mg_setup, ((7e-8, 0.0, 0.0), (0.0, 0.0, 0.0)), 1e-7,
+                       rtol=rtol, atol=atol)

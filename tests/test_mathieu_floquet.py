@@ -394,3 +394,14 @@ def test_nonpositive_steps_raise(steps):
         monodromy_stability((0.1, 0.1), steps=steps)
     with pytest.raises(ValueError, match="steps"):
         rk8_oscillator(lambda t, x: -x, 0.0, 0.1, steps, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("a,q", [(1e308, 0.0), (-1e308, 0.0), (0.0, 1e308)])
+def test_overflowing_monodromy_is_a_physics_error(a, q):
+    from optrap.errors import PhysicsError
+    from optrap.mathieu_floquet import stability_scan
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PhysicsError, match="overflows"):
+            stability_scan((a, a), (q, q), 1.0, steps=1)
+        with pytest.raises(PhysicsError, match="overflows"):
+            monodromy_stability((a, q), steps=1)
