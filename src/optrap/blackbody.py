@@ -34,13 +34,13 @@ def mean_occupation(omega0: float, temperature: float) -> float:
     """Bose occupation 1/(exp(hbar w / kB T) - 1) of the resonant modes.
 
     Exact Bose factor; at room temperature and trap frequencies this is
-    within 1e-7 of the Rayleigh-Jeans limit kB T / (hbar w).  T = 0 gives 0.
+    within 1e-7 of the Rayleigh-Jeans limit kB T / (hbar w).  kB T = 0 gives 0.
     """
     if not omega0 > 0:
         raise ValueError("omega0 must be positive")
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    if temperature == 0.0:
+    if CONST.kB * temperature == 0.0:     # T = 0, or kB T underflows
         return 0.0
     x = CONST.hbar * omega0 / (CONST.kB * temperature)
     return float(1.0 / np.expm1(x))

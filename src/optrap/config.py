@@ -10,7 +10,8 @@ is inverted through the exact linearity of the weak-drive depth in power.
 
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .constants import CONST
@@ -40,7 +41,6 @@ class ParsedConfig:
 
     setup: TrapSetup
     beam_spec_mode: str            # "power" or "depth"
-    beam_spec_value: float         # the literal from the file (mW or mK)
     blackbody_prefactor: float
     simulate: dict                 # {} when absent; "initial" a (pos, vel) pair
     scan: dict                     # {} when absent
@@ -55,6 +55,19 @@ def _section(cfg: dict, name: str, required=False, path="") -> dict:
     if not isinstance(cfg[name], dict):
         raise ConfigError(f"section {path}{name} must be an object")
     return cfg[name]
+
+
+@contextmanager
+def _model_checks(*keys):
+    """The model's checks on the values of ``keys`` (a ValueError, or the
+    OverflowError of a float ``**`` past its range) become ConfigErrors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{' / '.join(keys)}: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{' / '.join(keys)}: a derived quantity "
+                          "overflows the float range") from exc
 
 
 def _check_keys(section: dict, allowed, path: str):
@@ -168,24 +181,23 @@ def parse_config(raw: dict) -> ParsedConfig:
 
     ion_cfg = _section(raw, "ion", required=True)
     _check_keys(ion_cfg, {"mass_u", "charge_e"}, "ion")
-    mass_u = _number(ion_cfg, "mass_u", "ion", minimum=0.0, strict_min=True)
+    mass_u = _number(ion_cfg, "mass_u", "ion")
     charge_e = _number(ion_cfg, "charge_e", "ion")
-    ion = IonSpecies.from_amu(mass_u, charge_e)
+    with _model_checks("ion.mass_u", "ion.charge_e"):
+        ion = IonSpecies.from_amu(mass_u, charge_e)
 
     tr_cfg = _section(raw, "transition", required=True)
     _check_keys(tr_cfg, {"wavelength_nm", "linewidth_2pi_MHz"}, "transition")
     wavelength = units.metre_from_nm(
-        _number(tr_cfg, "wavelength_nm", "transition", minimum=0.0,
-                strict_min=True))
+        _number(tr_cfg, "wavelength_nm", "transition"))
     linewidth = units.rad_s_from_2pi_mhz(
-        _number(tr_cfg, "linewidth_2pi_MHz", "transition", minimum=0.0,
-                strict_min=True))
+        _number(tr_cfg, "linewidth_2pi_MHz", "transition"))
 
     laser_cfg = _section(raw, "laser", required=True)
     _check_keys(laser_cfg, {"waist_um", "detuning_2pi_GHz", "power_mW",
                             "depth_mK"}, "laser")
     waist = units.metre_from_um(
-        _number(laser_cfg, "waist_um", "laser", minimum=0.0, strict_min=True))
+        _number(laser_cfg, "waist_um", "laser"))
     detuning = units.rad_s_from_2pi_ghz(
         _number(laser_cfg, "detuning_2pi_GHz", "laser"))
     has_power = "power_mW" in laser_cfg
@@ -223,22 +235,25 @@ def parse_config(raw: dict) -> ParsedConfig:
 
     mode, key = ("power", "power_mW") if has_power else ("depth", "depth_mK")
     literal = _number(laser_cfg, key, "laser", minimum=0.0, strict_min=True)
-    unit_beam = LaserBeam(wavelength=wavelength, waist_radius=waist,
-                          detuning=detuning, power=1.0)
+    with _model_checks("transition.wavelength_nm", "laser.waist_um"):
+        unit_beam = LaserBeam(wavelength=wavelength, waist_radius=waist,
+                              detuning=detuning, power=1.0)
+    with _model_checks("transition.wavelength_nm",
+                       "transition.linewidth_2pi_MHz", "laser.detuning_2pi_GHz",
+                       "static.curvatures_2pi_kHz_squared"):
+        unit_setup = setup_from_beam(ion, unit_beam, linewidth,
+                                     static_curvatures=curvatures,
+                                     temperature=temperature)
     if has_power:
         power = units.watt_from_mw(literal)
     elif detuning >= 0:
         raise ConfigError("depth_mK requires red detuning "
                           "(negative detuning_2pi_GHz)")
     else:
-        power = power_for_depth(setup_from_beam(ion, unit_beam, linewidth),
-                                units.joule_from_mk(literal))
-
-    setup = setup_from_beam(ion, unit_beam.scaled_power(power), linewidth,
-                            static_curvatures=curvatures,
-                            temperature=temperature)
+        power = power_for_depth(unit_setup, units.joule_from_mk(literal))
+    with _model_checks(f"laser.{key}"):
+        setup = replace(unit_setup, beam=unit_beam.scaled_power(power))
     return ParsedConfig(setup=setup, beam_spec_mode=mode,
-                        beam_spec_value=literal,
                         blackbody_prefactor=prefactor,
                         simulate=simulate, scan=scan, raw=raw)
 

@@ -74,16 +74,21 @@ def effective_potential_at(setup: TrapSetup, position, mode: str = "low_sat"):
     raise ValueError(f"unknown potential mode: {mode!r}")
 
 
-def dipole_force_at(setup: TrapSetup, position, mode: str = "exact_log"):
-    """Conservative dipole force -grad V, shape (..., 3), N."""
+def _exact_log_force(setup: TrapSetup, position, s):
+    """-grad (hbar delta / 2) ln(1 + s) at ``position``, given s there."""
     grad_s = _saturation_gradient(setup, position)
     half = 0.5 * CONST.hbar * setup.beam.detuning
-    if mode == "low_sat":
-        return -half * grad_s
+    return -half / (1.0 + s)[..., np.newaxis] * grad_s
+
+
+def dipole_force_at(setup: TrapSetup, position, mode: str = "exact_log"):
+    """Conservative dipole force -grad V, shape (..., 3), N."""
     if mode == "exact_log":
-        s = saturation_at(setup, position)
-        return -half / (1.0 + s)[..., np.newaxis] * grad_s
-    raise ValueError(f"unknown potential mode: {mode!r}")
+        return _exact_log_force(setup, position, saturation_at(setup, position))
+    if mode != "low_sat":
+        raise ValueError(f"unknown potential mode: {mode!r}")
+    return -0.5 * CONST.hbar * setup.beam.detuning \
+        * _saturation_gradient(setup, position)
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,8 @@ class MeanForce:
 
 def mean_force_at(setup: TrapSetup, position) -> MeanForce:
     """Mean optical force after averaging over the optical period."""
-    dip = dipole_force_at(setup, position, mode="exact_log")
     s = saturation_at(setup, position)
+    dip = _exact_log_force(setup, position, s)
     gamma = setup.transition.linewidth
     k = setup.beam.wavenumber
     mag = 0.5 * CONST.hbar * gamma * (s / (1.0 + s)) * k

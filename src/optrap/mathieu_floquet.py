@@ -16,9 +16,9 @@ analysis can resolve; below ``STIFFNESS_THRESHOLD`` the analytic
 small-parameter laws are used instead (and flagged).  At numerically
 reachable parameters the one-period monodromy matrix is integrated with
 the fixed-step RK8 kernel of :mod:`optrap.integrators` (on arrays for a
-scan, on floats for one point; both give the same bits) and the
-micromotion content is read off the Fourier components of the Floquet
-eigenfunction.
+scan, on floats for one point; both give the same bits); the micromotion
+content is read off the Floquet eigenfunction's Fourier coefficients,
+solved from Hill's recursion given the exponent nu of that matrix.
 """
 
 import math
@@ -35,6 +35,7 @@ from . import dipole_trap
 
 STIFFNESS_THRESHOLD = 1e-14
 DEFAULT_STEPS = 4096
+HILL_ORDER = 25        # Hill's recursion keeps the harmonics |n| <= 25
 
 _AXIS_NAMES = ("x", "y", "z")
 
@@ -44,14 +45,12 @@ class MathieuParams:
     """Dimensionless Mathieu parameters of one trap axis.
 
     The sign of q is kept (stability depends only on |q|; the sign records
-    the drive phase convention).  ``dimensionless_time_scale`` is the
-    omega_L of the tau = omega_L t substitution.
+    the drive phase convention).  Time is tau = omega_L t.
     """
 
     a: float
     q: float
     drive_angular_frequency: float    # 2 omega_L for the optical drive, rad/s
-    dimensionless_time_scale: float   # rad/s
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.q)):
@@ -87,24 +86,22 @@ def optical_mathieu_params(setup: TrapSetup, axis: int) -> MathieuParams:
     omega_l = setup.beam.omega_laser
     a = (w_opt ** 2 + curv) / omega_l ** 2
     q = -w_opt ** 2 / (2.0 * omega_l ** 2)
-    if a + 0.5 * q ** 2 <= 0.0:
+    if a + 0.5 * q * q <= 0.0:          # q * q gives inf, q ** 2 raises
         raise AnticonfinedAxis(
             f"axis {_AXIS_NAMES[axis]}: a = {a:.3e}, q = {q:.3e} is not "
             "confining (a + q^2/2 <= 0)")
     return MathieuParams(a=float(a), q=float(q),
-                         drive_angular_frequency=2.0 * omega_l,
-                         dimensionless_time_scale=omega_l)
+                         drive_angular_frequency=2.0 * omega_l)
 
 
-def mathieu_monodromy(a, q, steps: int = DEFAULT_STEPS, store: bool = False):
+def mathieu_monodromy(a, q, steps: int = DEFAULT_STEPS):
     """Fundamental matrix of x'' + [a - 2q cos(2 tau)] x = 0 over tau in [0, pi].
 
     Vectorised over leading axes of ``a`` and ``q``: returns shape
     (..., 2, 2), rows (position, velocity), columns the two fundamental
-    solutions.  With ``store`` the matrix is also recorded at every step
-    endpoint (shape (steps+1, ..., 2, 2)) for eigenfunction analysis.
-    One (a, q) point runs each fundamental solution on floats; an array
-    of points runs both at once on (n, 2) arrays.  The bits are the same.
+    solutions.  One (a, q) point runs each fundamental solution on
+    floats; an array of points runs both at once on (n, 2) arrays.  The
+    bits are the same.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -116,9 +113,7 @@ def mathieu_monodromy(a, q, steps: int = DEFAULT_STEPS, store: bool = False):
         def accel(tau, x):
             return -(a - two_q * math.cos(2.0 * tau)) * x
 
-        # the final (x, v), or with ``store`` (x, v) at every step endpoint
-        return rk8_oscillator(accel, 0.0, np.pi / steps, steps, x0, v0,
-                              sample_every=1 if store else 0)[-2:]
+        return rk8_oscillator(accel, 0.0, np.pi / steps, steps, x0, v0)[-2:]
 
     if a_arr.ndim == 0:
         runs = [solve(float(a_arr), float(q_arr), x0, v0)
@@ -129,9 +124,7 @@ def mathieu_monodromy(a, q, steps: int = DEFAULT_STEPS, store: bool = False):
         x, v = solve(a_arr.reshape(-1, 1), q_arr.reshape(-1, 1),
                      np.broadcast_to([1.0, 0.0], (n_sys, 2)),
                      np.broadcast_to([0.0, 1.0], (n_sys, 2)))
-    lead = (steps + 1,) if store else ()
-    mono = np.stack([x, v], axis=-2).reshape(lead + a_arr.shape + (2, 2))
-    return (mono[-1], mono) if store else mono
+    return np.stack([x, v], axis=-2).reshape(a_arr.shape + (2, 2))
 
 
 def _stability(mono):
@@ -159,23 +152,22 @@ def floquet_eigenfunction_spectrum(a: float, q: float,
     """Characteristic exponent and Fourier coefficients of the stable mode.
 
     Returns (nu, coeffs) where the Floquet solution is
-    x(tau) = exp(i nu tau) sum_n c_n exp(2 i n tau) and ``coeffs`` is the
-    full DFT array (c_n at index n modulo ``steps``).  Requires a stable
-    (a, q) pair.
+    x(tau) = exp(i nu tau) sum_n c_n exp(2 i n tau), nu from the monodromy
+    matrix.  The c_n, |n| <= ``HILL_ORDER``, are the smallest right-singular
+    vector of Hill's recursion (a - (nu + 2n)^2) c_n - q (c_{n-1} + c_{n+1})
+    = 0 (McLachlan, *Theory and Application of Mathieu Functions*), in DFT
+    order (c_n at index n modulo the length).  Needs a stable (a, q) pair.
     """
-    mono, hist = mathieu_monodromy(a, q, steps=steps, store=True)
+    mono = mathieu_monodromy(a, q, steps=steps)
     if not _stability(mono)[0]:
         raise ValueError("Fourier extraction needs a stable Mathieu solution")
-    evals, evecs = np.linalg.eig(mono)
-    idx = int(np.argmax(evals.imag))
-    lam = evals[idx]
-    vec = evecs[:, idx]
-    nu = float(np.angle(lam) / np.pi)
-    tau = np.arange(steps) * (np.pi / steps)
-    x_tau = hist[:-1] @ vec               # (steps, 2); row 0 is the position
-    periodic = x_tau[:, 0] * np.exp(-1j * nu * tau)
-    coeffs = np.fft.fft(periodic) / steps
-    return nu, coeffs
+    evals = np.linalg.eigvals(mono)
+    nu = float(np.angle(evals[np.argmax(evals.imag)]) / np.pi)
+    n = np.arange(-HILL_ORDER, HILL_ORDER + 1)
+    hill = np.diag(a - (nu + 2.0 * n) ** 2) \
+        - q * (np.eye(n.size, k=1) + np.eye(n.size, k=-1))
+    null = np.linalg.svd(hill)[2][-1]
+    return nu, np.roll(null, -HILL_ORDER)
 
 
 def monodromy_stability(params, steps: int = DEFAULT_STEPS) -> FloquetResult:
@@ -192,56 +184,34 @@ def monodromy_stability(params, steps: int = DEFAULT_STEPS) -> FloquetResult:
     else:
         a, q = float(params[0]), float(params[1])
 
-    if max(abs(a), abs(q)) < STIFFNESS_THRESHOLD:
+    analytic = max(abs(a), abs(q)) < STIFFNESS_THRESHOLD
+    if analytic:
         warnings.warn(
             f"a = {a:.3e}, |q| = {abs(q):.3e} below numerical Floquet "
             "resolution; reporting analytic small-parameter laws",
             StiffnessWarning, stacklevel=2)
+        # harmonic limit x'' + b^2 x = 0, b = sqrt(a + q^2/2) (imaginary if
+        # a + q^2/2 < 0; b = 0 gives [[1, pi], [0, 1]]), over one period
         beta_sq = a + 0.5 * q ** 2
-        stable = beta_sq > 0.0
-        beta = np.sqrt(abs(beta_sq))
-        if stable:
-            # harmonic-limit fundamental matrix over one period
-            if beta > 0:
-                mono = np.array([[np.cos(beta * np.pi),
-                                  np.sin(beta * np.pi) / beta],
-                                 [-beta * np.sin(beta * np.pi),
-                                  np.cos(beta * np.pi)]])
-            else:
-                mono = np.array([[1.0, np.pi], [0.0, 1.0]])
-            mults = (complex(np.cos(beta * np.pi), np.sin(beta * np.pi)),
-                     complex(np.cos(beta * np.pi), -np.sin(beta * np.pi)))
-            return FloquetResult(monodromy_matrix=mono,
-                                 floquet_multipliers=mults,
-                                 stable=True,
-                                 characteristic_exponent=float(beta),
-                                 micromotion_ratio=0.5 * abs(q),
-                                 from_analytic_law=True)
-        mono = np.array([[np.cosh(beta * np.pi), np.sinh(beta * np.pi) / beta],
-                         [beta * np.sinh(beta * np.pi), np.cosh(beta * np.pi)]]) \
-            if beta > 0 else np.array([[1.0, np.pi], [0.0, 1.0]])
-        mults = (complex(np.exp(beta * np.pi)), complex(np.exp(-beta * np.pi)))
-        return FloquetResult(monodromy_matrix=mono,
-                             floquet_multipliers=mults,
-                             stable=False,
-                             characteristic_exponent=float(beta),
-                             micromotion_ratio=float("nan"),
-                             from_analytic_law=True)
-
-    mono = mathieu_monodromy(a, q, steps=steps)
-    stable, exponent = _stability(mono)
-    evals = np.linalg.eigvals(mono)
-    if stable:
-        nu, coeffs = floquet_eigenfunction_spectrum(a, q, steps=steps)
-        ratio = float((abs(coeffs[1]) + abs(coeffs[-1])) / abs(coeffs[0]))
+        b = np.emath.sqrt(beta_sq)
+        cos_b, sinc_b = np.cos(np.pi * b), np.pi * np.sinc(b)
+        mono = np.real([[cos_b, sinc_b], [-beta_sq * sinc_b, cos_b]])
+        phase = 1j * np.pi * np.conj(b)
+        mults = (np.exp(phase), np.exp(-phase))
+        stable, exponent, ratio = beta_sq > 0.0, abs(b), 0.5 * abs(q)
     else:
-        ratio = float("nan")
+        mono = mathieu_monodromy(a, q, steps=steps)
+        stable, exponent = _stability(mono)
+        mults = np.linalg.eigvals(mono)
+        if stable:
+            _, coeffs = floquet_eigenfunction_spectrum(a, q, steps=steps)
+            ratio = float((abs(coeffs[1]) + abs(coeffs[-1])) / abs(coeffs[0]))
     return FloquetResult(monodromy_matrix=mono,
-                         floquet_multipliers=(complex(evals[0]), complex(evals[1])),
+                         floquet_multipliers=tuple(map(complex, mults)),
                          stable=bool(stable),
                          characteristic_exponent=float(exponent),
-                         micromotion_ratio=ratio,
-                         from_analytic_law=False)
+                         micromotion_ratio=ratio if stable else float("nan"),
+                         from_analytic_law=analytic)
 
 
 def micromotion_ratio_optical(setup: TrapSetup, axis: int) -> float:

@@ -47,6 +47,8 @@ class IonSpecies:
             raise ValueError("total mass must exceed the electron mass")
         if not self.valence_electron_charge < 0:
             raise ValueError("valence electron charge must be negative")
+        if not self.total_charge ** 2 < np.inf:  # the Larmor rate needs Q^2
+            raise ValueError("total charge squared overflows")
 
     @classmethod
     def from_amu(cls, mass_u: float, charge_e: float) -> "IonSpecies":
@@ -95,8 +97,8 @@ class Transition:
     linewidth: float     # Gamma, rad/s
 
     def __post_init__(self):
-        if not self.omega_eg > 0:
-            raise ValueError("omega_eg must be positive")
+        if not 0 < self.omega_eg < np.inf:
+            raise ValueError("omega_eg must be positive and finite")
         if not self.linewidth > 0:
             raise ValueError("linewidth must be positive")
         if not self.linewidth / self.omega_eg < 1e-3:
@@ -141,6 +143,8 @@ class LaserBeam:
         if not self.waist_radius > self.wavelength:
             raise ValueError("waist must exceed the wavelength "
                              "(paraxial TEM00 validity)")
+        if not self.rayleigh_range ** 2 < np.inf:  # axial frequency needs zR^2
+            raise ValueError("Rayleigh range squared overflows")
         if (self.power is None) == (self.peak_intensity is None):
             raise ValueError("specify exactly one of power, peak_intensity")
         primary = self.power if self.power is not None else self.peak_intensity

@@ -46,6 +46,9 @@ def build_report(parsed: ParsedConfig) -> dict:
     """Deterministic report dictionary for a validated configuration."""
     setup = parsed.setup
     summary = trap_summary(setup)
+    if summary.depth == float("inf"):
+        key = "power_mW" if parsed.beam_spec_mode == "power" else "depth_mK"
+        raise PhysicsError(f"laser.{key} is too large: the trap depth overflows")
     if not 0.0 < summary.omega0 < float("inf"):
         raise PhysicsError("no axis has a positive finite secular frequency "
                            f"(omega0 = {summary.omega0:g} rad/s)")

@@ -343,9 +343,17 @@ def _report_power(tmp_path, cfg, power):
     return ["report", str(write_config(tmp_path, cfg))]
 
 
-def _report_curvatures(tmp_path, cfg, curvatures):
-    cfg["static"]["curvatures_2pi_kHz_squared"] = curvatures
+def _report_value(tmp_path, cfg, change):
+    section, key, value = change
+    cfg[section][key] = value
     return ["report", str(write_config(tmp_path, cfg))]
+
+
+_MODEL_REJECTS = [("static", "curvatures_2pi_kHz_squared", [1e308, 0, 0]),
+                  ("ion", "mass_u", 1e-300),
+                  ("transition", "linewidth_2pi_MHz", 1e300),
+                  ("transition", "wavelength_nm", 1e-300),
+                  ("laser", "waist_um", 1e300)]
 
 
 def _config_is_directory(tmp_path, cfg, _):
@@ -372,8 +380,16 @@ def _out_dir_is_file(tmp_path, cfg, _):
     pytest.param(_report_power, 0, 2, "laser.power_mW", id="power-0"),
     pytest.param(_report_power, 1e-300, 3, "secular frequency",
                  id="power-underflow"),
-    pytest.param(_report_curvatures, [-1e12] * 3, 3, "secular frequency",
-                 id="all-anticonfined"),
+    pytest.param(_report_value,
+                 ("static", "curvatures_2pi_kHz_squared", [-1e12] * 3), 3,
+                 "secular frequency", id="all-anticonfined"),
+    *[pytest.param(_report_value, change, 2, f"{change[0]}.{change[1]}",
+                   id=f"model-rejects-{change[1]}")
+      for change in _MODEL_REJECTS],
+    pytest.param(_report_power, 1e300, 3, "laser.power_mW",
+                 id="power-overflow"),
+    pytest.param(_report_value, ("laser", "depth_mK", 1e305), 3,
+                 "laser.depth_mK", id="depth-overflow"),
     pytest.param(_config_is_directory, None, 2, "cfg_dir", id="config-dir"),
     pytest.param(_config_not_utf8, None, 2, "cfg_utf16.json",
                  id="config-not-utf8"),

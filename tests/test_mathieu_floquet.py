@@ -22,7 +22,7 @@ from optrap import (mathieu_monodromy, micromotion_ratio_optical,
                     stability_scan, trap_summary)
 from optrap.errors import AnticonfinedAxis, StiffnessWarning
 from optrap.integrators import rk8_oscillator
-from optrap.mathieu_floquet import floquet_eigenfunction_spectrum
+from optrap.mathieu_floquet import HILL_ORDER, floquet_eigenfunction_spectrum
 
 from conftest import make_reference_setup
 
@@ -249,6 +249,25 @@ def test_micromotion_kinetic_energy_scaling():
     assert ratios[0] / qs[0] == pytest.approx(0.25, rel=0.05)
 
 
+def test_hill_spectrum_matches_two_sideband_law():
+    # near the origin Hill's recursion truncated at c_{+-1} gives
+    # (|q|/2) / (1 - a - q^2/2); the neglected terms are O(q^2) smaller
+    a, q = 1e-6, -5e-7
+    _, coeffs = floquet_eigenfunction_spectrum(a, q)
+    ratio = (abs(coeffs[1]) + abs(coeffs[-1])) / abs(coeffs[0])
+    assert ratio == pytest.approx(0.5 * abs(q) / (1 - a - q * q / 2),
+                                  rel=1e-10)
+
+
+@pytest.mark.parametrize("a,q", [(0.04, 0.02), (2.0, 1.0), (7.5, -2.5),
+                                 (10.0, 3.0)])
+def test_hill_truncation_is_converged(a, q):
+    # the outermost kept harmonics c_N and c_-N are negligible
+    _, coeffs = floquet_eigenfunction_spectrum(a, q)
+    ends = np.abs(coeffs[[HILL_ORDER, -HILL_ORDER]])
+    assert np.max(ends) < 1e-15 * np.max(np.abs(coeffs))
+
+
 def test_optical_micromotion_ratio(mg_setup):
     ratio = micromotion_ratio_optical(mg_setup, axis=0)
     params = optical_mathieu_params(mg_setup, axis=0)
@@ -275,6 +294,30 @@ def test_stiffness_anticonfined_unstable():
         res = monodromy_stability((-1e-20, 1e-21))
     assert not res.stable
     assert np.isnan(res.micromotion_ratio)
+
+
+@pytest.mark.parametrize("a,q", [(1e-20, 1e-21), (-1e-20, 1e-21),
+                                 (0.0, 0.0)])
+def test_harmonic_limit_matrix(a, q):
+    # x'' + beta^2 x = 0 over one period: rotation, boost or free drift
+    with pytest.warns(StiffnessWarning):
+        res = monodromy_stability((a, q))
+    beta_sq = a + q * q / 2
+    beta = np.sqrt(abs(beta_sq))
+    if beta_sq > 0:
+        c, s = np.cos(beta * np.pi), np.sin(beta * np.pi)
+        expected = [[c, s / beta], [-beta * s, c]]
+        mults = (complex(c, s), complex(c, -s))
+    elif beta_sq < 0:
+        c, s = np.cosh(beta * np.pi), np.sinh(beta * np.pi)
+        expected = [[c, s / beta], [beta * s, c]]
+        mults = (np.exp(beta * np.pi), np.exp(-beta * np.pi))
+    else:
+        expected, mults = [[1.0, np.pi], [0.0, 1.0]], (1.0, 1.0)
+    np.testing.assert_allclose(res.monodromy_matrix, expected, rtol=1e-15)
+    np.testing.assert_allclose(res.floquet_multipliers, mults, rtol=1e-15)
+    assert res.stable == (beta_sq > 0)
+    assert res.characteristic_exponent == beta
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +413,6 @@ def test_single_point_matches_batched_monodromy(a, q):
                           mathieu_monodromy(a, q, steps=512))
     batch = mathieu_monodromy([a, 0.3], [q, 0.1], steps=512)
     assert np.array_equal(batch[0], res.monodromy_matrix)
-
-
-def test_stored_history_ends_in_the_monodromy():
-    # the stored path runs the same kernel: on floats for one point and on
-    # arrays for several, with the same bits as the unstored matrix
-    mono, hist = mathieu_monodromy(0.02, 0.01, steps=256, store=True)
-    assert hist.shape == (257, 2, 2)
-    assert np.array_equal(hist[0], np.eye(2))
-    assert np.array_equal(hist[-1], mono)
-    assert np.array_equal(mono, mathieu_monodromy(0.02, 0.01, steps=256))
-    _, batch = mathieu_monodromy([0.02, 0.3], [0.01, 0.1], steps=256,
-                                 store=True)
-    assert batch.shape == (257, 2, 2, 2)
-    assert np.array_equal(batch[:, 0], hist)
 
 
 @pytest.mark.parametrize("steps", [0, -5])
