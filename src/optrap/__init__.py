@@ -23,7 +23,7 @@ from .model import (FieldAmplitudes, IonSpecies, LaserBeam, TrapSetup,
 from .dipole_trap import (MeanForce, TrapSummary, dipole_force_at,
                           effective_potential_at, mean_force_at,
                           power_for_depth, recoil_energy, saturation_at,
-                          scattering_rate_at, trap_summary)
+                          scattering_rate_at, trap_depth, trap_summary)
 from .charge_corrections import (CorrectionLedger, LedgerEntry, MonopoleDrive,
                                  MultipoleRatios, RelativisticRatios,
                                  corrections_table, monopole_drive,

@@ -81,15 +81,13 @@ def heating_rate(setup: TrapSetup, omega0: float,
     nbar = mean_occupation(omega0, setup.temperature)
     charge = setup.ion.total_charge
     if charge == 0.0:
+        # exactly 0, also where nbar or omega0^2 would overflow
         flags.append("neutral_particle")
-        return HeatingEstimate(
-            mean_occupation=nbar, larmor_rate=0.0, heating_rate=0.0,
-            heating_timescale=float("inf"),
-            motional_temperature_equivalent=CONST.hbar * omega0 / CONST.kB,
-            flags=tuple(flags))
-    larmor = larmor_emission_rate(charge, setup.ion.total_mass, omega0,
-                                  prefactor_multiplier)
-    rate = larmor * nbar
+        larmor = rate = 0.0
+    else:
+        larmor = larmor_emission_rate(charge, setup.ion.total_mass, omega0,
+                                      prefactor_multiplier)
+        rate = larmor * nbar
     return HeatingEstimate(
         mean_occupation=nbar,
         larmor_rate=float(larmor),

@@ -23,14 +23,12 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .constants import CONST
-from .errors import BlueDetunedUnsupported
+from .errors import PhysicsError
 from .model import TrapSetup, field_amplitudes_at, rabi_frequency_at
-from .dipole_trap import effective_potential_at, trap_summary
+from .dipole_trap import FOCUS, trap_depth, trap_summary
 from . import blackbody as _blackbody
 from . import mathieu_floquet as _mathieu
 from .units import format_sig
-
-_FOCUS = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -50,10 +48,10 @@ def monopole_drive(setup: TrapSetup) -> MonopoleDrive:
     energy scale is (Q A)^2/(2M).  Both this energy and U0 are linear in
     intensity, so the ratio is intensity-independent.
     """
-    amps = field_amplitudes_at(setup, _FOCUS)
+    amps = field_amplitudes_at(setup, FOCUS)
     q = setup.ion.total_charge
     energy = (q * amps.vector_potential) ** 2 / (2.0 * setup.ion.total_mass)
-    depth = abs(effective_potential_at(setup, _FOCUS, mode="low_sat"))
+    depth = trap_depth(setup)
     return MonopoleDrive(drive_energy=float(energy),
                          ratio_to_depth=float(energy / depth),
                          equivalent_temperature=float(energy / CONST.kB))
@@ -67,8 +65,7 @@ class MultipoleRatios:
     p_dot_a_ratio: float         # P/(Mc) * Gamma/|delta|
 
 
-def multipole_ratios(setup: TrapSetup, characteristic_momentum: float = None
-                     ) -> MultipoleRatios:
+def multipole_ratios(setup: TrapSetup) -> MultipoleRatios:
     """Dimensionless sizes of the higher multipole couplings.
 
     The quadrupole term connects equal-parity states and is far
@@ -76,18 +73,13 @@ def multipole_ratios(setup: TrapSetup, characteristic_momentum: float = None
     order (kr) Omega/omega_L.  The octupole gives the leading resonant
     correction to the potential, a relative (kr)^2.  The P.(d x B)/M term
     is suppressed by P/(Mc) and additionally by Gamma/|delta| because only
-    the out-of-phase dipole component contributes.
-
-    ``characteristic_momentum`` defaults to sqrt(2 M U0), the momentum of
-    an ion at the full trap depth.
+    the out-of-phase dipole component contributes.  P is sqrt(2 M U0),
+    the momentum of an ion at the full trap depth.
     """
     kr = setup.beam.wavenumber * setup.transition.characteristic_size
-    omega = rabi_frequency_at(setup, _FOCUS)
-    depth = abs(effective_potential_at(setup, _FOCUS, mode="low_sat"))
+    omega = rabi_frequency_at(setup, FOCUS)
     mass = setup.ion.total_mass
-    p_depth = np.sqrt(2.0 * mass * depth)
-    if characteristic_momentum is not None:
-        p_depth = min(p_depth, characteristic_momentum)
+    p_depth = np.sqrt(2.0 * mass * trap_depth(setup))
     phase_factor = setup.transition.linewidth / abs(setup.beam.detuning)
     return MultipoleRatios(
         kr=float(kr),
@@ -121,7 +113,7 @@ def relativistic_ratios(setup: TrapSetup) -> RelativisticRatios:
     frequency by an intensity-dependent amount, here expressed as an
     angular frequency.
     """
-    amps = field_amplitudes_at(setup, _FOCUS)
+    amps = field_amplitudes_at(setup, FOCUS)
     g_e = 2.0
     spin_flip = (g_e * CONST.bohr_magneton * amps.magnetic
                  / (2.0 * CONST.hbar * setup.beam.omega_laser)) ** 2
@@ -151,6 +143,7 @@ class CorrectionLedger:
 
     entries: tuple
     depth: float  # U0 used for the ratios, J
+    heating: _blackbody.HeatingEstimate  # behind the blackbody row
 
     MAIN_ROWS = ("effective_charge_correction", "spin_orbit_coupling",
                  "octupole_correction", "monopole_coupling")
@@ -194,20 +187,20 @@ def corrections_table(setup: TrapSetup,
     Auxiliary rows keep their natural units (suffix in the name); their
     ``ratio_to_u0`` is the value itself for dimensionless quantities and
     hbar-weighted for rates/shifts, so every entry carries a finite,
-    non-negative sort weight.
+    non-negative sort weight.  A depth that underflows to 0 raises
+    :class:`PhysicsError`.
     """
-    if setup.beam.detuning >= 0:
-        raise BlueDetunedUnsupported("correction ledger needs a red-detuned "
-                                     "trap (U0 > 0)")
-    depth = abs(effective_potential_at(setup, _FOCUS, mode="low_sat"))
+    summary = trap_summary(setup)  # BlueDetunedUnsupported if delta >= 0
+    depth = summary.depth
+    if not depth > 0.0:
+        raise PhysicsError("the correction ledger needs U0 > 0; the trap "
+                           f"depth is {depth:g} J")
     ion = setup.ion
     qeff_ratio = (CONST.m_electron * abs(ion.total_charge)
                   / (ion.total_mass * abs(ion.valence_electron_charge)))
     mono = monopole_drive(setup)
     multi = multipole_ratios(setup)
     rel = relativistic_ratios(setup)
-
-    summary = trap_summary(setup)
     heating = _blackbody.heating_rate(setup, summary.omega0,
                                       prefactor_multiplier=blackbody_prefactor)
     mm_ratio = _mathieu.micromotion_ratio_optical(setup, axis=0)
@@ -241,5 +234,5 @@ def corrections_table(setup: TrapSetup,
         LedgerEntry("micromotion_amplitude_ratio", "|q|/2 = (omega0/omega_L)^2/4",
                     mm_ratio, mm_ratio, 1e-20, "optical-micromotion"),
     )
-    return CorrectionLedger(entries=entries, depth=float(depth))
+    return CorrectionLedger(entries=entries, depth=depth, heating=heating)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from .constants import CONST
 from .errors import ConfigError
 from .model import IonSpecies, LaserBeam, TrapSetup, setup_from_beam
-from .dipole_trap import effective_potential_at, power_for_depth
+from .dipole_trap import FORCE_MODELS, power_for_depth, trap_depth
 from .dynamics import MIN_ATOL
 from .mathieu_floquet import grid_count
 from . import units
@@ -27,9 +27,8 @@ _SIM_FULL_OPTION_KEYS = {"include_radiation_pressure", "force_model", "rtol",
                          "atol", "samples", "method"}
 _SIM_DRIVEN_OPTION_KEYS = {"omega0_2pi_kHz", "drive_ratio", "field_V_m",
                            "steps_per_period", "drive_periods"}
-# solve_ivp's method names and dynamics.integrate_full's force models
+# solve_ivp's method names
 _SIM_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
-_SIM_FORCE_MODELS = ("exact_log", "low_sat")
 # most (a, q) cells one stability scan may have: the batched scan peaks at
 # about 0.5 kB per cell (tracemalloc, 2,500 to 40,000 cells), so ~0.5 GB
 MAX_SCAN_CELLS = 1_000_000
@@ -250,7 +249,9 @@ def parse_config(raw: dict) -> ParsedConfig:
         raise ConfigError("depth_mK requires red detuning "
                           "(negative detuning_2pi_GHz)")
     else:
-        power = power_for_depth(unit_setup, units.joule_from_mk(literal))
+        with _model_checks("transition.linewidth_2pi_MHz", "laser.waist_um",
+                           "laser.detuning_2pi_GHz", "laser.depth_mK"):
+            power = power_for_depth(unit_setup, units.joule_from_mk(literal))
     with _model_checks(f"laser.{key}"):
         setup = replace(unit_setup, beam=unit_beam.scaled_power(power))
     return ParsedConfig(setup=setup, beam_spec_mode=mode,
@@ -275,7 +276,7 @@ def _validate_simulate(sim: dict) -> dict:
                         for key in keys)
         _number(sim, "t_end_s", "simulate", minimum=0.0, strict_min=True)
         _choice(options, "method", path, _SIM_METHODS)
-        _choice(options, "force_model", path, _SIM_FORCE_MODELS)
+        _choice(options, "force_model", path, FORCE_MODELS)
         _number(options, "rtol", path, required=False, minimum=0.0,
                 strict_min=True)
         _number(options, "atol", path, required=False, minimum=MIN_ATOL)
@@ -319,9 +320,7 @@ def render_config(parsed: ParsedConfig) -> dict:
     if parsed.beam_spec_mode == "power":
         laser["power_mW"] = units.mw_from_watt(beam.beam_power)
     else:
-        depth = abs(effective_potential_at(setup, (0.0, 0.0, 0.0),
-                                           mode="low_sat"))
-        laser["depth_mK"] = units.mk_from_joule(depth)
+        laser["depth_mK"] = units.mk_from_joule(trap_depth(setup))
     out = {
         "ion": {"mass_u": setup.ion.total_mass / CONST.atomic_mass_unit,
                 "charge_e": setup.ion.total_charge / CONST.e_charge},

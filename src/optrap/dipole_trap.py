@@ -29,7 +29,8 @@ from .constants import CONST
 from .errors import BlueDetunedUnsupported, SaturationValidityWarning
 from .model import TrapSetup, intensity_gradient_at, rabi_frequency_at
 
-_FOCUS = (0.0, 0.0, 0.0)
+FOCUS = (0.0, 0.0, 0.0)                  # positions are measured from it
+FORCE_MODELS = ("exact_log", "low_sat")  # the modes of dipole_force_at
 
 
 def saturation_at(setup: TrapSetup, position):
@@ -48,7 +49,7 @@ def _saturation_scale(setup: TrapSetup) -> float:
     trajectory compute it once; a setup that differs in any field gets
     its own entry.
     """
-    return saturation_at(setup, _FOCUS) / setup.beam.focus_intensity
+    return saturation_at(setup, FOCUS) / setup.beam.focus_intensity
 
 
 def _saturation_gradient(setup: TrapSetup, position):
@@ -72,6 +73,12 @@ def effective_potential_at(setup: TrapSetup, position, mode: str = "low_sat"):
     if mode == "exact_log":
         return half * np.log1p(s)
     raise ValueError(f"unknown potential mode: {mode!r}")
+
+
+def trap_depth(setup: TrapSetup) -> float:
+    """U0 = |V_eff(focus)| of the low-saturation potential, J; every ratio
+    to U0 uses it.  Exactly linear in the beam power."""
+    return abs(effective_potential_at(setup, FOCUS, mode="low_sat"))
 
 
 def _exact_log_force(setup: TrapSetup, position, s):
@@ -172,7 +179,7 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
         raise BlueDetunedUnsupported(
             "trap summary requires red detuning (delta < 0); got "
             f"delta = {setup.beam.detuning:g} rad/s")
-    depth = abs(effective_potential_at(setup, _FOCUS, mode="low_sat"))
+    depth = trap_depth(setup)
     mass = setup.ion.total_mass
     w0 = setup.beam.waist_radius
     zr = setup.beam.rayleigh_range
@@ -193,14 +200,14 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
     omega0 = max(finite) if finite else float("nan")
 
     e_rec = recoil_energy(setup)
-    s0 = saturation_at(setup, _FOCUS)
+    s0 = saturation_at(setup, FOCUS)
     gamma_sc = 0.5 * setup.transition.linewidth * s0
     scales = [
         ("omega0", omega0),
         ("recoil", e_rec / CONST.hbar),
         ("linewidth", setup.transition.linewidth),
         ("depth_rate", depth / CONST.hbar),
-        ("rabi", rabi_frequency_at(setup, _FOCUS)),
+        ("rabi", rabi_frequency_at(setup, FOCUS)),
         ("abs_detuning", abs(setup.beam.detuning)),
         ("omega_laser", setup.beam.omega_laser),
         ("omega_transition", setup.transition.omega_eg),
@@ -221,14 +228,16 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
     )
 
 
-def power_for_depth(setup_at_unit_power: TrapSetup, depth: float) -> float:
+def power_for_depth(setup: TrapSetup, depth: float) -> float:
     """Beam power giving the requested low-saturation trap depth, W.
 
     The low-saturation depth is exactly linear in power, so the inversion
-    is a single rescaling of the depth computed at 1 W.
+    is the rescaling depth * P / U0 of ``setup``'s own power and depth.
+    ``ValueError`` if that U0 is not positive and finite (e.g. the dipole
+    moment squared underflows).
     """
-    if setup_at_unit_power.beam.beam_power != 1.0:
-        raise ValueError("pass a setup whose beam power is exactly 1 W")
-    unit_depth = abs(effective_potential_at(setup_at_unit_power, _FOCUS,
-                                            mode="low_sat"))
-    return depth / unit_depth
+    own_depth = trap_depth(setup)
+    if not 0.0 < own_depth < np.inf:
+        raise ValueError(f"cannot rescale a trap depth of {own_depth:g} J; "
+                         "it must be positive and finite")
+    return depth * setup.beam.beam_power / own_depth

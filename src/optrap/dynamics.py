@@ -24,7 +24,6 @@ bisection of the total axial force (dipole + radiation pressure + static
 restoring force).
 """
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -50,24 +49,28 @@ MIN_ATOL = 1e-100
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Uniformly sampled centre-of-mass trajectory with energy diagnostics."""
+    """Uniformly sampled centre-of-mass trajectory with energy diagnostics
+    (J); ``total_energy`` is kinetic plus potential."""
 
     times: np.ndarray        # (n,), s, strictly increasing
     positions: np.ndarray    # (n, 3), m
     velocities: np.ndarray   # (n, 3), m/s
     kinetic_energy: np.ndarray
     potential_energy: np.ndarray
-    total_energy: np.ndarray
     metadata: dict
 
     def __post_init__(self):
         n = len(self.times)
         for arr in (self.positions, self.velocities, self.kinetic_energy,
-                    self.potential_energy, self.total_energy):
+                    self.potential_energy):
             if len(arr) != n:
                 raise ValueError("trajectory series lengths differ")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
+
+    @property
+    def total_energy(self) -> np.ndarray:
+        return self.kinetic_energy + self.potential_energy
 
     def to_csv_text(self, digits: int = 12) -> str:
         # one format string per row; "%.12g" % x == format_sig(x, 12)
@@ -78,14 +81,6 @@ class TrajectoryRecord:
                 self.kinetic_energy, self.potential_energy, self.total_energy):
             lines.append(row_format % (t, *pos, *vel, kin, pot, tot))
         return "\n".join(lines) + "\n"
-
-
-def _setup_fingerprint(setup: TrapSetup) -> str:
-    text = repr((setup.ion, setup.transition,
-                 setup.beam.wavelength, setup.beam.waist_radius,
-                 setup.beam.detuning, setup.beam.beam_power,
-                 setup.static_curvatures, setup.temperature))
-    return hashlib.sha1(text.encode()).hexdigest()[:16]
 
 
 def _static_potential(setup: TrapSetup, positions):
@@ -168,11 +163,10 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
         + _static_potential(setup, pos)
     meta = {"integrator": method, "rtol": rtol, "atol": atol,
             "force_model": force_model,
-            "radiation_pressure": include_radiation_pressure,
-            "setup": _setup_fingerprint(setup)}
+            "radiation_pressure": include_radiation_pressure}
     return TrajectoryRecord(times=sol.t, positions=pos, velocities=vel,
                             kinetic_energy=kin, potential_energy=pot,
-                            total_energy=kin + pot, metadata=meta)
+                            metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +282,7 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
             "step": h, "drive_ratio": ratio}
     return TrajectoryRecord(times=ts, positions=positions,
                             velocities=velocities, kinetic_energy=kin,
-                            potential_energy=pot, total_energy=kin + pot,
-                            metadata=meta)
+                            potential_energy=pot, metadata=meta)
 
 
 def steady_drive_amplitude(record: TrajectoryRecord, drive_frequency: float,

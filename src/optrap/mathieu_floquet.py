@@ -37,7 +37,13 @@ STIFFNESS_THRESHOLD = 1e-14
 DEFAULT_STEPS = 4096
 HILL_ORDER = 25        # Hill's recursion keeps the harmonics |n| <= 25
 
-_AXIS_NAMES = ("x", "y", "z")
+AXIS_NAMES = ("x", "y", "z")      # beam frame: transverse, transverse, axial
+
+
+def _below_resolution(a: float, q: float) -> bool:
+    """Where the analytic small-parameter laws, the |q|/2 micromotion law
+    among them, replace the numerical Floquet path."""
+    return max(abs(a), abs(q)) < STIFFNESS_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,7 @@ def optical_mathieu_params(setup: TrapSetup, axis: int) -> MathieuParams:
     q = -w_opt ** 2 / (2.0 * omega_l ** 2)
     if a + 0.5 * q * q <= 0.0:          # q * q gives inf, q ** 2 raises
         raise AnticonfinedAxis(
-            f"axis {_AXIS_NAMES[axis]}: a = {a:.3e}, q = {q:.3e} is not "
+            f"axis {AXIS_NAMES[axis]}: a = {a:.3e}, q = {q:.3e} is not "
             "confining (a + q^2/2 <= 0)")
     return MathieuParams(a=float(a), q=float(q),
                          drive_angular_frequency=2.0 * omega_l)
@@ -153,10 +159,12 @@ def floquet_eigenfunction_spectrum(a: float, q: float,
 
     Returns (nu, coeffs) where the Floquet solution is
     x(tau) = exp(i nu tau) sum_n c_n exp(2 i n tau), nu from the monodromy
-    matrix.  The c_n, |n| <= ``HILL_ORDER``, are the smallest right-singular
-    vector of Hill's recursion (a - (nu + 2n)^2) c_n - q (c_{n-1} + c_{n+1})
-    = 0 (McLachlan, *Theory and Application of Mathieu Functions*), in DFT
-    order (c_n at index n modulo the length).  Needs a stable (a, q) pair.
+    matrix.  The c_n, |n| <= ``HILL_ORDER``, are the null vector of Hill's
+    recursion (a - (nu + 2n)^2) c_n - q (c_{n-1} + c_{n+1}) = 0
+    (McLachlan, *Theory and Application of Mathieu Functions*): the matrix
+    is symmetric, so that is its eigenvector of the eigenvalue nearest
+    zero.  Returned in DFT order (c_n at index n modulo the length).
+    Needs a stable (a, q) pair.
     """
     mono = mathieu_monodromy(a, q, steps=steps)
     if not _stability(mono)[0]:
@@ -166,7 +174,8 @@ def floquet_eigenfunction_spectrum(a: float, q: float,
     n = np.arange(-HILL_ORDER, HILL_ORDER + 1)
     hill = np.diag(a - (nu + 2.0 * n) ** 2) \
         - q * (np.eye(n.size, k=1) + np.eye(n.size, k=-1))
-    null = np.linalg.svd(hill)[2][-1]
+    evals, evecs = np.linalg.eigh(hill)
+    null = evecs[:, np.argmin(np.abs(evals))]
     return nu, np.roll(null, -HILL_ORDER)
 
 
@@ -184,7 +193,7 @@ def monodromy_stability(params, steps: int = DEFAULT_STEPS) -> FloquetResult:
     else:
         a, q = float(params[0]), float(params[1])
 
-    analytic = max(abs(a), abs(q)) < STIFFNESS_THRESHOLD
+    analytic = _below_resolution(a, q)
     if analytic:
         warnings.warn(
             f"a = {a:.3e}, |q| = {abs(q):.3e} below numerical Floquet "
@@ -219,9 +228,18 @@ def micromotion_ratio_optical(setup: TrapSetup, axis: int) -> float:
 
     At optical parameters a, |q| ~ (w0/omega_L)^2 the small-parameter law
     |q|/2 (1 + O(q)) is exact far beyond machine precision, so the value
-    (omega_opt/omega_L)^2 / 4 is returned directly.
+    (omega_opt/omega_L)^2 / 4 is returned directly.  Like
+    :func:`monodromy_stability`, it applies the law only where
+    max(|a|, |q|) < ``STIFFNESS_THRESHOLD``; outside that domain (a beam
+    or static field far too strong for an optical trap) it raises
+    :class:`PhysicsError` naming the axis, a and q.
     """
     params = optical_mathieu_params(setup, axis)
+    if not _below_resolution(params.a, params.q):
+        raise PhysicsError(
+            f"axis {AXIS_NAMES[axis]}: a = {params.a:.3e}, q = {params.q:.3e} "
+            "is outside the small-parameter regime of the |q|/2 micromotion "
+            f"law (max(|a|, |q|) < {STIFFNESS_THRESHOLD:g})")
     return 0.5 * abs(params.q)
 
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import CONST
-
-TWO_PI = 2.0 * np.pi
+from .units import TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +123,17 @@ class Transition:
 
 @dataclass(frozen=True)
 class LaserBeam:
-    """A focused TEM00 travelling wave.
+    """A focused TEM00 travelling wave of total power ``power``.
 
-    Exactly one of ``power`` and ``peak_intensity`` is stored as primary;
-    the other is derived through I0 = 2P/(pi w0^2).  The detuning is
-    signed, delta = omega_L - omega_eg, with red detuning negative.
+    The power is required (the ``None`` default raises); the focus
+    intensity follows as I0 = 2P/(pi w0^2).  The detuning is signed,
+    delta = omega_L - omega_eg, with red detuning negative.
     """
 
     wavelength: float            # m
     waist_radius: float          # w0, m
     detuning: float              # delta, rad/s
-    power: float = None          # W
-    peak_intensity: float = None  # W/m^2
+    power: float = None          # P, W
 
     def __post_init__(self):
         if not self.wavelength > 0:
@@ -145,11 +143,8 @@ class LaserBeam:
                              "(paraxial TEM00 validity)")
         if not self.rayleigh_range ** 2 < np.inf:  # axial frequency needs zR^2
             raise ValueError("Rayleigh range squared overflows")
-        if (self.power is None) == (self.peak_intensity is None):
-            raise ValueError("specify exactly one of power, peak_intensity")
-        primary = self.power if self.power is not None else self.peak_intensity
-        if not primary >= 0:
-            raise ValueError("beam power/intensity must be non-negative")
+        if self.power is None or not self.power >= 0:
+            raise ValueError("beam power must be given and non-negative")
 
     @property
     def omega_laser(self) -> float:
@@ -168,16 +163,12 @@ class LaserBeam:
 
     @property
     def beam_power(self) -> float:
-        """P, W (derived from peak intensity when that is primary)."""
-        if self.power is not None:
-            return self.power
-        return self.peak_intensity * np.pi * self.waist_radius ** 2 / 2.0
+        """P, W."""
+        return self.power
 
     @property
     def focus_intensity(self) -> float:
         """I0 = 2P/(pi w0^2), W/m^2."""
-        if self.peak_intensity is not None:
-            return self.peak_intensity
         return 2.0 * self.power / (np.pi * self.waist_radius ** 2)
 
     def spot_size(self, z):
@@ -186,9 +177,7 @@ class LaserBeam:
 
     def scaled_power(self, factor: float) -> "LaserBeam":
         """Same beam with the power multiplied by ``factor``."""
-        if self.power is not None:
-            return replace(self, power=self.power * factor)
-        return replace(self, peak_intensity=self.peak_intensity * factor)
+        return replace(self, power=self.power * factor)
 
 
 @dataclass(frozen=True)

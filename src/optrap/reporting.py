@@ -12,9 +12,9 @@ from .errors import AnticonfinedAxis, PhysicsError
 from .config import ParsedConfig
 from .charge_corrections import corrections_table
 from .dipole_trap import trap_summary
-from .mathieu_floquet import micromotion_ratio_optical, optical_mathieu_params
+from .mathieu_floquet import (AXIS_NAMES, micromotion_ratio_optical,
+                              optical_mathieu_params)
 from .units import format_sig, mk_from_joule, two_pi_hz_from_rad_s
-from . import blackbody
 
 # published orders for the reference experiment's hierarchy, 2pi x Hz
 REFERENCE_FREQUENCY_ORDERS = {
@@ -39,8 +39,6 @@ _PRETTY = {
     "omega_transition": "omega_eg",
 }
 
-_AXES = ("x", "y", "z")
-
 
 def build_report(parsed: ParsedConfig) -> dict:
     """Deterministic report dictionary for a validated configuration."""
@@ -54,8 +52,7 @@ def build_report(parsed: ParsedConfig) -> dict:
                            f"(omega0 = {summary.omega0:g} rad/s)")
     ledger = corrections_table(setup,
                                blackbody_prefactor=parsed.blackbody_prefactor)
-    heating = blackbody.heating_rate(
-        setup, summary.omega0, prefactor_multiplier=parsed.blackbody_prefactor)
+    heating = ledger.heating
 
     hierarchy = []
     for name, value in summary.hierarchy:
@@ -69,7 +66,7 @@ def build_report(parsed: ParsedConfig) -> dict:
 
     mathieu_rows = []
     for axis in range(3):
-        row = {"axis": _AXES[axis]}
+        row = {"axis": AXIS_NAMES[axis]}
         try:
             params = optical_mathieu_params(setup, axis)
         except AnticonfinedAxis:

@@ -103,12 +103,6 @@ def test_multipole_long_wavelength_limit(mg_setup):
                                                rel=1e-12)
 
 
-def test_characteristic_momentum_cap(mg_setup):
-    default = multipole_ratios(mg_setup)
-    capped = multipole_ratios(mg_setup, characteristic_momentum=1e-30)
-    assert capped.p_dot_a_ratio < default.p_dot_a_ratio
-
-
 # ---------------------------------------------------------------------------
 # relativistic ratios
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from optrap.reporting import build_report
 
 REPO = Path(__file__).resolve().parent.parent
 MG24 = REPO / "demos" / "mg24.json"
+DATA = REPO / "tests" / "data"
 
 
 @pytest.fixture()
@@ -67,6 +68,30 @@ def test_report_deterministic(tmp_path):
         == (out2 / "report.json").read_bytes()
     assert (out1 / "report.txt").read_bytes() \
         == (out2 / "report.txt").read_bytes()
+
+
+def _power_and_static(cfg):
+    del cfg["laser"]["depth_mK"]
+    cfg["laser"]["power_mW"] = 3.0
+    cfg["static"]["curvatures_2pi_kHz_squared"] = [100, -50, 2025]
+
+
+# The expected files come from an implementation that evaluated U0 at each
+# use and the blackbody estimate twice per report; computing each once
+# must reproduce every byte.
+@pytest.mark.parametrize("name,change", [("mg24", None),
+                                         ("mg24_power_static",
+                                          _power_and_static)])
+def test_report_pinned_bytes(tmp_path, monkeypatch, mg24_config, name,
+                             change):
+    monkeypatch.delenv("TRAP_FLOAT_DIGITS", raising=False)
+    if change is not None:
+        change(mg24_config)
+    assert main(["report", str(write_config(tmp_path, mg24_config)),
+                 "--out-dir", str(tmp_path)]) == 0
+    for suffix in ("json", "txt"):
+        assert (tmp_path / f"report.{suffix}").read_bytes() == (
+            DATA / f"report_{name}.{suffix}").read_bytes()
 
 
 def test_report_roundtrip_recompute(tmp_path):
@@ -349,6 +374,11 @@ def _report_value(tmp_path, cfg, change):
     return ["report", str(write_config(tmp_path, cfg))]
 
 
+def _report_power_static(tmp_path, cfg, power):
+    cfg["static"]["curvatures_2pi_kHz_squared"] = [100.0, 100.0, 100.0]
+    return _report_power(tmp_path, cfg, power)
+
+
 _MODEL_REJECTS = [("static", "curvatures_2pi_kHz_squared", [1e308, 0, 0]),
                   ("ion", "mass_u", 1e-300),
                   ("transition", "linewidth_2pi_MHz", 1e300),
@@ -380,6 +410,9 @@ def _out_dir_is_file(tmp_path, cfg, _):
     pytest.param(_report_power, 0, 2, "laser.power_mW", id="power-0"),
     pytest.param(_report_power, 1e-300, 3, "secular frequency",
                  id="power-underflow"),
+    # the static field confines, but U0 underflows to 0 J
+    pytest.param(_report_power_static, 1e-300, 3, "U0 > 0",
+                 id="power-underflow-static"),
     pytest.param(_report_value,
                  ("static", "curvatures_2pi_kHz_squared", [-1e12] * 3), 3,
                  "secular frequency", id="all-anticonfined"),
@@ -390,6 +423,13 @@ def _out_dir_is_file(tmp_path, cfg, _):
                  id="power-overflow"),
     pytest.param(_report_value, ("laser", "depth_mK", 1e305), 3,
                  "laser.depth_mK", id="depth-overflow"),
+    # the dipole moment squared underflows, so the depth cannot be inverted
+    pytest.param(_report_value, ("transition", "linewidth_2pi_MHz", 5e-324),
+                 2, "transition.linewidth_2pi_MHz",
+                 id="subnormal-linewidth-depth"),
+    # |q| = 3.1e-14: outside the small-parameter domain of the |q|/2 law
+    pytest.param(_report_value, ("laser", "depth_mK", 1e8), 3, "|q|/2",
+                 id="micromotion-law-domain"),
     pytest.param(_config_is_directory, None, 2, "cfg_dir", id="config-dir"),
     pytest.param(_config_not_utf8, None, 2, "cfg_utf16.json",
                  id="config-not-utf8"),

@@ -48,18 +48,6 @@ def test_beam_validation():
                   power=0.1)  # waist below wavelength
     with pytest.raises(ValueError):
         LaserBeam(wavelength=280e-9, waist_radius=7e-6, detuning=-1e12)
-    with pytest.raises(ValueError):
-        LaserBeam(wavelength=280e-9, waist_radius=7e-6, detuning=-1e12,
-                  power=0.1, peak_intensity=1e9)
-
-
-def test_power_intensity_duality():
-    by_power = LaserBeam(wavelength=280e-9, waist_radius=7e-6, detuning=-1e12,
-                         power=0.1)
-    by_intensity = LaserBeam(wavelength=280e-9, waist_radius=7e-6,
-                             detuning=-1e12,
-                             peak_intensity=by_power.focus_intensity)
-    assert by_intensity.beam_power == pytest.approx(0.1, rel=1e-14)
 
 
 def test_setup_consistency_check():
