@@ -22,7 +22,7 @@ print("beam geometry")
 print(f"  rayleigh range  {beam.rayleigh_range * 1e3:8.3f} mm")
 print(f"  wavenumber      {beam.wavenumber:.4e} 1/m")
 print(f"  omega_L         2pi x {beam.omega_laser / 2 / np.pi:.4e} Hz")
-print(f"  power           {beam.beam_power * 1e3:.1f} mW for kB x 50 mK depth")
+print(f"  power           {beam.power * 1e3:.1f} mW for kB x 50 mK depth")
 
 amps = field_amplitudes_at(setup, FOCUS)
 print("\nfields at the focus")

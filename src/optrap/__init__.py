@@ -16,7 +16,7 @@ Library layout:
 * :mod:`optrap.cli` — the ``trap`` command (report / stability / simulate).
 """
 
-from .constants import CODATA2018, CONST, PhysicalConstants
+from .constants import CONST, PhysicalConstants
 from .model import (FieldAmplitudes, IonSpecies, LaserBeam, TrapSetup,
                     Transition, field_amplitudes_at, intensity_at,
                     intensity_gradient_at, rabi_frequency_at, setup_from_beam)

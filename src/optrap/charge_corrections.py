@@ -165,15 +165,15 @@ class CorrectionLedger:
     def to_json_dict(self) -> list:
         return [asdict(entry) for entry in self.entries]
 
-    def to_csv_text(self, digits: int = 9) -> str:
+    def to_csv_text(self) -> str:
         lines = ["name,formula,value,ratio_to_U0,paper_order,section"]
         for en in self.entries:
             lines.append(",".join([
                 en.name,
                 f'"{en.formula}"',
-                format_sig(en.value, digits),
-                format_sig(en.ratio_to_u0, digits),
-                format_sig(en.paper_order, digits),
+                format_sig(en.value),
+                format_sig(en.ratio_to_u0),
+                format_sig(en.paper_order),
                 en.section,
             ]))
         return "\n".join(lines) + "\n"

@@ -7,23 +7,27 @@ Three subcommands over a JSON configuration:
     trap simulate <config>    -> trajectory.csv  (needs a simulate block)
 
 Exit codes: 0 success, 2 configuration error, 3 physics/numerical error.
+Each warning goes to stderr as one line, ``warning: <Category>: <message>``.
 Outputs are deterministic: identical configs give byte-identical files
 (no timestamps; floats rendered by fixed rules).  Files are written
-atomically (temp + rename).  ``TRAP_FLOAT_DIGITS`` (default 9) controls
-text/CSV significant digits; JSON always keeps full precision.
+atomically (temp + rename).  ``TRAP_FLOAT_DIGITS`` (default 9) sets the
+significant digits of report.txt and of the dominant frequency that
+``simulate`` prints; the CSVs are pinned (9 digits, 12 for the trajectory)
+and JSON always keeps full precision.
 """
 
 import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .config import (block_range, check_scan, check_steps, load_config,
                      range_flag)
 from .dynamics import (DrivenOscillatorSpec, dominant_frequency,
                        integrate_driven, integrate_full)
-from .errors import ConfigError, PhysicsError, TrapError
+from .errors import ConfigError, PhysicsError
 from .mathieu_floquet import DEFAULT_STEPS, stability_scan
 from .reporting import build_report, render_text
 from .units import format_sig, rad_s_from_2pi_hz
@@ -86,9 +90,7 @@ def run_stability(args) -> int:
     grid = stability_scan(a_range[:2], q_range[:2], (a_range[2], q_range[2]),
                           steps=steps)
     out = _out_dir(args)
-    # the CSV interface is pinned at 9 significant digits; the env var
-    # applies to the human-readable report only
-    _atomic_write(out / "stability.csv", grid.to_csv_text(digits=9))
+    _atomic_write(out / "stability.csv", grid.to_csv_text())
     print(f"wrote {out / 'stability.csv'} "
           f"({len(grid.a_values)}x{len(grid.q_values)} points)")
     return EXIT_OK
@@ -158,21 +160,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None,
+                   line=None):
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, OSError) as exc:
-        # OSError: an unreadable config or an unusable output directory
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PhysicsError as exc:
-        print(f"physics error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
-    except TrapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
+    # one line per warning; restored on return, so library callers keep
+    # Python's format and every caller keeps its filters
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ConfigError, OSError) as exc:
+            # OSError: an unreadable config or an unusable output directory
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except PhysicsError as exc:
+            print(f"physics error: {exc}", file=sys.stderr)
+            return EXIT_PHYSICS
 
 
 if __name__ == "__main__":

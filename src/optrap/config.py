@@ -14,10 +14,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .constants import CONST
 from .errors import ConfigError
 from .model import IonSpecies, LaserBeam, TrapSetup, setup_from_beam
-from .dipole_trap import FORCE_MODELS, power_for_depth, trap_depth
+from .dipole_trap import FORCE_MODELS, power_for_depth
 from .dynamics import MIN_ATOL
 from .mathieu_floquet import grid_count
 from . import units
@@ -305,33 +304,3 @@ def _validate_simulate(sim: dict) -> dict:
             raise ConfigError("driven simulate needs t_end_s or "
                               "options.drive_periods")
     return {**sim, "options": options, "initial": initial}
-
-
-def render_config(parsed: ParsedConfig) -> dict:
-    """Convert a parsed (SI) configuration back to interface units.
-
-    Involutive against parsing to within float round-trip: rendering the
-    parse of a config reproduces its literals to 9 significant digits.
-    """
-    setup = parsed.setup
-    beam = setup.beam
-    laser = {"waist_um": units.um_from_metre(beam.waist_radius),
-             "detuning_2pi_GHz": units.two_pi_ghz_from_rad_s(beam.detuning)}
-    if parsed.beam_spec_mode == "power":
-        laser["power_mW"] = units.mw_from_watt(beam.beam_power)
-    else:
-        laser["depth_mK"] = units.mk_from_joule(trap_depth(setup))
-    out = {
-        "ion": {"mass_u": setup.ion.total_mass / CONST.atomic_mass_unit,
-                "charge_e": setup.ion.total_charge / CONST.e_charge},
-        "transition": {
-            "wavelength_nm": units.nm_from_metre(beam.wavelength),
-            "linewidth_2pi_MHz": units.two_pi_mhz_from_rad_s(
-                setup.transition.linewidth)},
-        "laser": laser,
-        "static": {"curvatures_2pi_kHz_squared": [
-            units.curvature_to_2pi_khz_sq(v) for v in setup.static_curvatures]},
-        "environment": {"temperature_K": setup.temperature},
-        "blackbody": {"prefactor_multiplier": parsed.blackbody_prefactor},
-    }
-    return out

@@ -32,7 +32,4 @@ class PhysicalConstants:
         return self.e_charge * self.hbar / (2.0 * self.m_electron)
 
 
-CODATA2018 = PhysicalConstants()
-
-# module-level alias for the common case
-CONST = CODATA2018
+CONST = PhysicalConstants()

@@ -240,4 +240,4 @@ def power_for_depth(setup: TrapSetup, depth: float) -> float:
     if not 0.0 < own_depth < np.inf:
         raise ValueError(f"cannot rescale a trap depth of {own_depth:g} J; "
                          "it must be positive and finite")
-    return depth * setup.beam.beam_power / own_depth
+    return depth * setup.beam.power / own_depth

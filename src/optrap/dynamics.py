@@ -36,8 +36,8 @@ from .errors import (EscapedTrap, InitialConditionWarning, NoRoot, Resonance,
                      StepFailure, UnreachableScale)
 from .integrators import rk8_scalar_oscillator
 from .model import TrapSetup
-from .dipole_trap import (dipole_force_at, effective_potential_at,
-                          mean_force_at)
+from .dipole_trap import (FORCE_MODELS, dipole_force_at,
+                          effective_potential_at, mean_force_at)
 
 ESCAPE_RADIUS_WAISTS = 100.0
 INITIAL_WARNING_WAISTS = 5.0
@@ -72,9 +72,9 @@ class TrajectoryRecord:
     def total_energy(self) -> np.ndarray:
         return self.kinetic_energy + self.potential_energy
 
-    def to_csv_text(self, digits: int = 12) -> str:
+    def to_csv_text(self) -> str:
         # one format string per row; "%.12g" % x == format_sig(x, 12)
-        row_format = ",".join([f"%.{digits}g"] * 10)
+        row_format = ",".join(["%.12g"] * 10)
         lines = ["t,x,y,z,vx,vy,vz,E_kin,E_pot,E_tot"]
         for t, pos, vel, kin, pot, tot in zip(
                 self.times, self.positions, self.velocities,
@@ -107,12 +107,16 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     force and potential.
 
     Raises :class:`EscapedTrap` past 100 waists and :class:`StepFailure`
-    if the tolerances cannot be met; ``ValueError`` for ``atol`` below
-    ``MIN_ATOL`` or ``rtol`` <= 0.
+    if the tolerances cannot be met; ``ValueError``, before integrating,
+    for ``atol`` below ``MIN_ATOL``, ``rtol`` <= 0 or a ``force_model``
+    outside ``FORCE_MODELS``.
     """
     if not (atol >= MIN_ATOL and rtol > 0):
         raise ValueError(f"need atol >= {MIN_ATOL:g} and rtol > 0, got "
                          f"atol={atol!r}, rtol={rtol!r}")
+    if force_model not in FORCE_MODELS:
+        raise ValueError(f"unknown force model: {force_model!r} (one of "
+                         f"{', '.join(FORCE_MODELS)})")
     position0 = np.asarray(initial[0], dtype=float)
     velocity0 = np.asarray(initial[1], dtype=float)
     if position0.shape != (3,) or velocity0.shape != (3,):

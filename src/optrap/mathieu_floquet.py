@@ -258,12 +258,13 @@ class StabilityScan:
             for j, q in enumerate(self.q_values):
                 yield a, q, bool(self.stable[i, j]), float(self.exponent[i, j])
 
-    def to_csv_text(self, digits: int = 9) -> str:
+    def to_csv_text(self) -> str:
+        # the CSV interface is pinned at 9 significant digits;
+        # TRAP_FLOAT_DIGITS applies to the human-readable report only
         lines = ["a,q,stable,exponent"]
         for a, q, stab, expo in self.rows():
-            lines.append(",".join([format_sig(a, digits), format_sig(q, digits),
-                                   "1" if stab else "0",
-                                   format_sig(expo, digits)]))
+            lines.append(",".join([format_sig(a), format_sig(q),
+                                   "1" if stab else "0", format_sig(expo)]))
         return "\n".join(lines) + "\n"
 
 

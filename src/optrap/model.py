@@ -162,11 +162,6 @@ class LaserBeam:
         return np.pi * self.waist_radius ** 2 / self.wavelength
 
     @property
-    def beam_power(self) -> float:
-        """P, W."""
-        return self.power
-
-    @property
     def focus_intensity(self) -> float:
         """I0 = 2P/(pi w0^2), W/m^2."""
         return 2.0 * self.power / (np.pi * self.waist_radius ** 2)
@@ -242,7 +237,7 @@ def intensity_at(beam: LaserBeam, position):
     r2 = np.maximum(np.sum(pos * pos, axis=-1) - z * z, 0.0)
     zr = beam.rayleigh_range
     w2 = beam.waist_radius ** 2 * (1.0 + (z / zr) ** 2)
-    return 2.0 * beam.beam_power / (np.pi * w2) * np.exp(-2.0 * r2 / w2)
+    return 2.0 * beam.power / (np.pi * w2) * np.exp(-2.0 * r2 / w2)
 
 
 def intensity_gradient_at(beam: LaserBeam, position):
@@ -254,7 +249,7 @@ def intensity_gradient_at(beam: LaserBeam, position):
     zr = beam.rayleigh_range
     w0sq = beam.waist_radius ** 2
     w2 = w0sq * (1.0 + (z / zr) ** 2)
-    inten = 2.0 * beam.beam_power / (np.pi * w2) * np.exp(-2.0 * r2 / w2)
+    inten = 2.0 * beam.power / (np.pi * w2) * np.exp(-2.0 * r2 / w2)
     # transverse: dI/dr = -4 r I / w^2; axial via dw^2/dz = 2 w0^2 z / zR^2
     grad = (-4.0 * inten / w2)[..., np.newaxis] * r_vec
     dw2 = 2.0 * w0sq * z / zr ** 2

@@ -1,15 +1,19 @@
 """The correction ledger and its individual estimators."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from optrap import (IonSpecies, corrections_table, field_amplitudes_at,
                     monopole_drive, multipole_ratios, relativistic_ratios)
+from optrap.config import load_config
 from optrap.constants import CONST
 
 from conftest import DEPTH, make_reference_setup
 
 FOCUS = (0.0, 0.0, 0.0)
+REPO = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +63,7 @@ def test_monopole_ratio_intensity_invariant(mg_setup):
     # both (QA)^2 and U0 are proportional to intensity
     base = monopole_drive(mg_setup).ratio_to_depth
     doubled = monopole_drive(
-        make_reference_setup(power=2 * mg_setup.beam.beam_power))
+        make_reference_setup(power=2 * mg_setup.beam.power))
     assert doubled.ratio_to_depth == pytest.approx(base, rel=1e-9)
     assert doubled.drive_energy == pytest.approx(
         2 * monopole_drive(mg_setup).drive_energy, rel=1e-12)
@@ -89,7 +93,7 @@ def test_multipole_long_wavelength_limit(mg_setup):
     beam = LaserBeam(wavelength=10 * mg_setup.beam.wavelength,
                      waist_radius=10 * mg_setup.beam.waist_radius,
                      detuning=mg_setup.beam.detuning,
-                     power=mg_setup.beam.beam_power)
+                     power=mg_setup.beam.power)
     omega_eg_scaled = beam.omega_laser - beam.detuning
     gamma_scaled = mg_setup.transition.linewidth * (
         omega_eg_scaled / mg_setup.transition.omega_eg) ** 3
@@ -130,7 +134,7 @@ def test_relativistic_ratios_reference(mg_setup):
 def test_relativistic_ratios_intensity_scaling(mg_setup):
     base = relativistic_ratios(mg_setup)
     doubled = relativistic_ratios(
-        make_reference_setup(power=2 * mg_setup.beam.beam_power))
+        make_reference_setup(power=2 * mg_setup.beam.power))
     assert doubled.spin_flip_probability == pytest.approx(
         2 * base.spin_flip_probability, rel=1e-12)
     assert doubled.quadratic_field_shift == pytest.approx(
@@ -195,6 +199,13 @@ def test_ledger_csv_roundtrip(mg_setup):
     for row in rows:
         assert set(row) == {"name", "formula", "value", "ratio_to_U0",
                             "paper_order", "section"}
+
+
+def test_ledger_csv_pinned_bytes():
+    # the ledger CSV is pinned at 9 significant digits
+    setup = load_config(REPO / "demos" / "mg24.json").setup
+    assert corrections_table(setup).to_csv_text().encode("utf-8") == (
+        REPO / "tests" / "data" / "ledger_mg24.csv").read_bytes()
 
 
 def test_ledger_json(mg_setup):

@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +96,34 @@ def test_report_pinned_bytes(tmp_path, monkeypatch, mg24_config, name,
     for suffix in ("json", "txt"):
         assert (tmp_path / f"report.{suffix}").read_bytes() == (
             DATA / f"report_{name}.{suffix}").read_bytes()
+
+
+def test_warning_printed_as_one_line(tmp_path, mg24_config):
+    # omega0 = 2pi x 2.7 kHz lies below the blackbody estimate's band
+    mg24_config["laser"]["depth_mK"] = 0.01
+    config = write_config(tmp_path, mg24_config)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("TRAP_FLOAT_DIGITS", None)
+    proc = subprocess.run([sys.executable, "-m", "optrap.cli", "report",
+                           str(config), "--out-dir", str(tmp_path / "cli")],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (
+        "warning: FrequencyRangeWarning: omega0 = 1.682e+04 rad/s outside "
+        "the recommended 2pi x (10 kHz .. 1 MHz) band\n")
+    assert ".py:" not in proc.stderr
+    # the format does not reach the outputs, and main restores Python's
+    showwarning = warnings.showwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["report", str(config), "--out-dir",
+                     str(tmp_path / "lib")]) == 0
+    assert warnings.showwarning is showwarning
+    for name in ("report.json", "report.txt"):
+        assert (tmp_path / "cli" / name).read_bytes() == (
+            tmp_path / "lib" / name).read_bytes()
 
 
 def test_report_roundtrip_recompute(tmp_path):

@@ -1,10 +1,10 @@
 import pytest
 
-from optrap.constants import CODATA2018, PhysicalConstants
+from optrap.constants import CONST, PhysicalConstants
 
 
 def test_pinned_values():
-    c = CODATA2018
+    c = CONST
     assert c.c == 299792458.0
     assert c.kB == 1.380649e-23
     assert c.e_charge == 1.602176634e-19
@@ -20,7 +20,7 @@ def test_agrees_with_scipy_codata():
     # scipy may carry a newer adjustment; agreement to 1e-8 is enough to
     # catch transcription errors without pinning to scipy's tables
     from scipy import constants as sc
-    c = CODATA2018
+    c = CONST
     assert c.hbar == pytest.approx(sc.hbar, rel=1e-8)
     assert c.eps0 == pytest.approx(sc.epsilon_0, rel=1e-8)
     assert c.m_electron == pytest.approx(sc.m_e, rel=1e-8)
@@ -32,11 +32,11 @@ def test_agrees_with_scipy_codata():
 
 def test_immutable_and_positive():
     with pytest.raises(Exception):
-        CODATA2018.hbar = 1.0  # frozen dataclass
+        CONST.hbar = 1.0  # frozen dataclass
     with pytest.raises(ValueError):
         PhysicalConstants(hbar=-1.0)
 
 
 def test_derived_bohr_magneton():
-    c = CODATA2018
+    c = CONST
     assert c.bohr_magneton == c.e_charge * c.hbar / (2 * c.m_electron)

@@ -38,7 +38,7 @@ def test_saturation_monotone_in_detuning(mg_setup, focus):
         detuned = setup_from_beam(
             setup.ion,
             LaserBeam(wavelength=beam.wavelength, waist_radius=beam.waist_radius,
-                      detuning=DETUNING * scale, power=beam.beam_power),
+                      detuning=DETUNING * scale, power=beam.power),
             LINEWIDTH)
         values.append(saturation_at(detuned, focus))
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -301,7 +301,7 @@ def test_static_curvature_combines_in_quadrature():
 
 def test_power_linearity(mg_setup):
     # U0, Gamma_sc and omega^2 all scale linearly with beam power
-    double = make_reference_setup(power=2 * mg_setup.beam.beam_power)
+    double = make_reference_setup(power=2 * mg_setup.beam.power)
     s1 = trap_summary(mg_setup)
     s2 = trap_summary(double)
     assert s2.depth == pytest.approx(2 * s1.depth, rel=1e-12)
@@ -328,7 +328,7 @@ def test_saturation_scale_does_not_leak_across_setups():
     near = make_reference_setup()
     far = setup_from_beam(near.ion, LaserBeam(
         wavelength=WAVELENGTH, waist_radius=WAIST, detuning=2.0 * DETUNING,
-        power=near.beam.beam_power), LINEWIDTH)
+        power=near.beam.power), LINEWIDTH)
     positions = [(3e-6, -1e-6, 2e-5),
                  np.array([[1e-6, 0.0, 0.0], [0.0, 2e-6, -1e-5]])]
     for setup in (near, far, near, far, far, near):

@@ -371,3 +371,19 @@ def test_integrate_full_rejects_bad_tolerances_before_solving(
     with pytest.raises(ValueError, match="atol"):
         integrate_full(mg_setup, ((7e-8, 0.0, 0.0), (0.0, 0.0, 0.0)), 1e-7,
                        rtol=rtol, atol=atol)
+
+
+# with radiation pressure on, the force model selects only the dipolar part,
+# so the name is checked before any force is evaluated
+@pytest.mark.parametrize("radiation", [True, False])
+def test_integrate_full_rejects_unknown_force_model_before_solving(
+        mg_setup, monkeypatch, radiation):
+    from optrap import dynamics
+
+    def never(*args, **kwargs):
+        raise AssertionError("solve_ivp was called")
+    monkeypatch.setattr(dynamics, "solve_ivp", never)
+    with pytest.raises(ValueError, match="'exactlog'"):
+        integrate_full(mg_setup, ((7e-8, 0.0, 0.0), (0.0, 0.0, 0.0)), 1e-7,
+                       include_radiation_pressure=radiation,
+                       force_model="exactlog")

@@ -86,7 +86,7 @@ def test_beam_geometry_reference_values():
 def test_intensity_peak_and_decay(mg_setup):
     beam = mg_setup.beam
     peak = intensity_at(beam, (0.0, 0.0, 0.0))
-    assert peak == pytest.approx(2 * beam.beam_power / (np.pi * WAIST ** 2),
+    assert peak == pytest.approx(2 * beam.power / (np.pi * WAIST ** 2),
                                  rel=1e-15)
     assert intensity_at(beam, (60 * WAIST, 0.0, 0.0)) < 1e-300
     # half the peak intensity one Rayleigh range downstream on axis
@@ -102,7 +102,7 @@ def test_transverse_plane_power_recovered(mg_setup):
         total, _ = quad(
             lambda r: 2 * np.pi * r * intensity_at(
                 beam, (r, 0.0, z)), 0.0, 12 * w_here, limit=200)
-        assert total == pytest.approx(beam.beam_power, rel=1e-6)
+        assert total == pytest.approx(beam.power, rel=1e-6)
 
 
 def test_intensity_gradient_matches_finite_differences(mg_setup):
@@ -151,7 +151,7 @@ def test_field_amplitude_identities(mg_setup, focus):
 
 
 def test_field_amplitude_scaling(mg_setup, focus):
-    doubled = make_reference_setup(power=2.0 * mg_setup.beam.beam_power)
+    doubled = make_reference_setup(power=2.0 * mg_setup.beam.power)
     a1 = field_amplitudes_at(mg_setup, focus)
     a2 = field_amplitudes_at(doubled, focus)
     for field in ("electric", "magnetic", "vector_potential"):
