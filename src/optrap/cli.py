@@ -23,6 +23,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from .config import (block_range, check_scan, check_steps, load_config,
                      range_flag)
 from .dynamics import (DrivenOscillatorSpec, dominant_frequency,
@@ -30,7 +32,7 @@ from .dynamics import (DrivenOscillatorSpec, dominant_frequency,
 from .errors import ConfigError, PhysicsError
 from .mathieu_floquet import DEFAULT_STEPS, stability_scan
 from .reporting import build_report, render_text
-from .units import format_sig, rad_s_from_2pi_hz
+from .units import format_sig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,20 +110,14 @@ def run_simulate(args) -> int:
         record = integrate_full(parsed.setup, sim["initial"], sim["t_end_s"],
                                 **sim["options"])
     else:
-        options = sim["options"]
-        omega0 = rad_s_from_2pi_hz(options["omega0_2pi_kHz"] * 1e3)
-        x0, v0 = sim["initial"]
-        spec = DrivenOscillatorSpec(
-            omega0=omega0, drive_frequency=options["drive_ratio"] * omega0,
-            charge=parsed.setup.ion.total_charge,
-            field_amplitude=options["field_V_m"],
-            mass=parsed.setup.ion.total_mass, x0=x0, v0=v0)
-        kwargs = ({"t_end": sim["t_end_s"]} if "t_end_s" in sim
-                  else {"drive_periods": options["drive_periods"]})
-        if "steps_per_period" in options:
-            kwargs["steps_per_period"] = options["steps_per_period"]
-        record = integrate_driven(spec, **kwargs)
+        spec = DrivenOscillatorSpec(charge=parsed.setup.ion.total_charge,
+                                    mass=parsed.setup.ion.total_mass,
+                                    **sim["spec"])
+        record = integrate_driven(spec, **sim["run"])
     # everything that can fail runs before the one write
+    if not all(np.isfinite(series).all() for series in (
+            record.positions, record.velocities, record.total_energy)):
+        raise PhysicsError("the trajectory leaves the float range")
     freq = dominant_frequency(record.times, record.positions[:, 0])
     out = _out_dir(args)
     _atomic_write(out / "trajectory.csv", record.to_csv_text())

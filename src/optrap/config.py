@@ -17,20 +17,21 @@ from pathlib import Path
 from .errors import ConfigError
 from .model import IonSpecies, LaserBeam, TrapSetup, setup_from_beam
 from .dipole_trap import FORCE_MODELS, power_for_depth
-from .dynamics import MIN_ATOL
+from .dynamics import MIN_ATOL, driven_steps
 from .mathieu_floquet import grid_count
 from . import units
 
 
 _SIM_FULL_OPTION_KEYS = {"include_radiation_pressure", "force_model", "rtol",
-                         "atol", "samples", "method"}
+                         "atol", "samples"}
 _SIM_DRIVEN_OPTION_KEYS = {"omega0_2pi_kHz", "drive_ratio", "field_V_m",
                            "steps_per_period", "drive_periods"}
-# solve_ivp's method names
-_SIM_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
 # most (a, q) cells one stability scan may have: the batched scan peaks at
 # about 0.5 kB per cell (tracemalloc, 2,500 to 40,000 cells), so ~0.5 GB
 MAX_SCAN_CELLS = 1_000_000
+# most rows one trajectory may have: a full or driven `trap simulate` peaks
+# at about 0.48 kB per row (tracemalloc, 10,000 to 41,000 rows), so ~0.5 GB
+MAX_TRAJECTORY_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,10 @@ class ParsedConfig:
     setup: TrapSetup
     beam_spec_mode: str            # "power" or "depth"
     blackbody_prefactor: float
-    simulate: dict                 # {} when absent; "initial" a (pos, vel) pair
+    # {} when absent; "initial" a (pos, vel) pair; a driven block adds
+    # "spec" (the SI DrivenOscillatorSpec fields but charge and mass) and
+    # "run" (integrate_driven's keyword arguments)
+    simulate: dict
     scan: dict                     # {} when absent
     raw: dict                      # the config exactly as read (echoed in reports)
 
@@ -274,13 +278,13 @@ def _validate_simulate(sim: dict) -> dict:
         initial = tuple(_vector3(initial, key, "simulate.initial")
                         for key in keys)
         _number(sim, "t_end_s", "simulate", minimum=0.0, strict_min=True)
-        _choice(options, "method", path, _SIM_METHODS)
         _choice(options, "force_model", path, FORCE_MODELS)
         _number(options, "rtol", path, required=False, minimum=0.0,
                 strict_min=True)
         _number(options, "atol", path, required=False, minimum=MIN_ATOL)
         if "samples" in options:
-            _integer(options["samples"], f"{path}.samples", 2)
+            _check_rows(_integer(options["samples"], f"{path}.samples", 2),
+                        f"{path}.samples")
         if not isinstance(options.get("include_radiation_pressure", True),
                           bool):
             raise ConfigError(f"{path}.include_radiation_pressure must be "
@@ -290,17 +294,51 @@ def _validate_simulate(sim: dict) -> dict:
         # 1-D driven motion: scalar initial conditions
         initial = tuple(_number(initial, key, "simulate.initial",
                                 required=False, default=0.0) for key in keys)
-        _number(options, "omega0_2pi_kHz", path, minimum=0.0, strict_min=True)
-        _number(options, "drive_ratio", path, minimum=0.0, strict_min=True)
-        _number(options, "field_V_m", path, minimum=0.0)
+        khz = _number(options, "omega0_2pi_kHz", path, minimum=0.0,
+                      strict_min=True)
+        ratio = _number(options, "drive_ratio", path, minimum=0.0,
+                        strict_min=True)
+        field = _number(options, "field_V_m", path, minimum=0.0)
+        run = {}   # integrate_driven's keyword arguments
         if "steps_per_period" in options:
-            _integer(options["steps_per_period"], f"{path}.steps_per_period",
-                     64)
+            run["steps_per_period"] = _integer(
+                options["steps_per_period"], f"{path}.steps_per_period", 64)
+        durations = []
         if "drive_periods" in options:
-            check_steps(options["drive_periods"], f"{path}.drive_periods")
+            run["drive_periods"] = check_steps(options["drive_periods"],
+                                               f"{path}.drive_periods")
+            durations.append(f"{path}.drive_periods")
         if "t_end_s" in sim:
-            _number(sim, "t_end_s", "simulate", minimum=0.0, strict_min=True)
-        elif "drive_periods" not in options:
-            raise ConfigError("driven simulate needs t_end_s or "
-                              "options.drive_periods")
+            run["t_end"] = _number(sim, "t_end_s", "simulate", minimum=0.0,
+                                   strict_min=True)
+            durations.append("simulate.t_end_s")
+        if len(durations) != 1:
+            raise ConfigError("driven simulate needs exactly one of "
+                              "simulate.t_end_s, "
+                              "simulate.options.drive_periods")
+        omega0 = units.rad_s_from_2pi_hz(khz * 1e3)
+        drive = ratio * omega0
+        fast = max(omega0, drive)
+        # the integrator squares both frequencies
+        if not math.isfinite(fast * fast):
+            raise ConfigError(f"{path}.omega0_2pi_kHz / {path}.drive_ratio: "
+                              "the squared secular or drive frequency "
+                              "overflows the float range")
+        try:
+            steps = driven_steps(omega0, drive, **run)[1]
+        except (OverflowError, ZeroDivisionError):   # past the float range
+            steps = math.inf
+        _check_rows(steps + 1, " / ".join(durations + [
+            f"{path}.steps_per_period", f"{path}.omega0_2pi_kHz",
+            f"{path}.drive_ratio"]))
+        return {**sim, "options": options, "initial": initial, "run": run,
+                "spec": {"omega0": omega0, "drive_frequency": drive,
+                         "field_amplitude": field, "x0": initial[0],
+                         "v0": initial[1]}}
     return {**sim, "options": options, "initial": initial}
+
+
+def _check_rows(rows, keys: str):
+    if rows > MAX_TRAJECTORY_ROWS:
+        raise ConfigError(f"{keys}: the trajectory would have {rows:.3g} "
+                          f"rows, more than {MAX_TRAJECTORY_ROWS}")

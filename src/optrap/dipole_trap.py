@@ -128,13 +128,17 @@ def scattering_rate_at(setup: TrapSetup, position):
     Valid at low saturation and far detuning; a warning is emitted when
     s > 0.1 or |delta| is not large against Gamma/2.
     """
-    s = saturation_at(setup, position)
+    return _scattering_rate(setup, saturation_at(setup, position))
+
+
+def _scattering_rate(setup: TrapSetup, s):
+    """Gamma s / 2 given the saturation s, with the validity warnings."""
     gamma = setup.transition.linewidth
     delta = setup.beam.detuning
     if abs(delta) < 5.0 * gamma:
         warnings.warn("scattering-rate formula assumes |delta| >> Gamma/2",
                       SaturationValidityWarning, stacklevel=2)
-    if np.any(np.asarray(s) > 0.1):
+    if (np.asarray(s) > 0.1).any():
         warnings.warn("saturation above 0.1: low-saturation scattering "
                       "formula is inaccurate", SaturationValidityWarning,
                       stacklevel=2)
@@ -173,7 +177,8 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
 
     Static curvatures add in quadrature per axis, signed; an axis whose
     combined curvature is negative is reported in ``anticonfined_axes``
-    (with NaN frequency) rather than raising.
+    (with NaN frequency) rather than raising.  The focus scattering rate
+    is :func:`scattering_rate_at`'s formula, with its validity warnings.
     """
     if setup.beam.detuning >= 0:
         raise BlueDetunedUnsupported(
@@ -201,7 +206,6 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
 
     e_rec = recoil_energy(setup)
     s0 = saturation_at(setup, FOCUS)
-    gamma_sc = 0.5 * setup.transition.linewidth * s0
     scales = [
         ("omega0", omega0),
         ("recoil", e_rec / CONST.hbar),
@@ -217,7 +221,7 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
     return TrapSummary(
         depth=float(depth),
         saturation_at_focus=float(s0),
-        scattering_rate_at_focus=float(gamma_sc),
+        scattering_rate_at_focus=float(_scattering_rate(setup, s0)),
         recoil_energy=float(e_rec),
         optical_trap_frequencies=tuple(float(w) for w in optical),
         combined_trap_frequencies=tuple(combined),

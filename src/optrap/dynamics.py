@@ -5,7 +5,8 @@ Two deliberately separate integrations:
 * :func:`integrate_full` follows the secular motion in the full Gaussian
   trap under the optical mean force (the fast optical oscillation is
   excluded by construction, matching the time-scale separation the trap
-  analysis rests on).  Adaptive embedded Runge-Kutta via scipy.  What
+  analysis rests on).  scipy's DOP853, the adaptive 8th-order
+  Dormand-Prince pair (Hairer, Norsett & Wanner, *Solving ODEs I*).  What
   does not change along the trajectory is computed once: the static
   curvatures' stiffness per run, and the saturation per unit intensity
   s0/I0 once per setup (cached in :mod:`optrap.dipole_trap`).  Each
@@ -29,8 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import bisect, minimize_scalar
 
 from .errors import (EscapedTrap, InitialConditionWarning, NoRoot, Resonance,
                      StepFailure, UnreachableScale)
@@ -41,10 +40,16 @@ from .dipole_trap import (FORCE_MODELS, dipole_force_at,
 
 ESCAPE_RADIUS_WAISTS = 100.0
 INITIAL_WARNING_WAISTS = 5.0
-# smallest absolute tolerance: at atol 1e-200 Radau and BDF raise and LSODA
-# never returns; atol = 0 hangs RK45 and DOP853 on state components that
-# stay exactly zero (0/0 error ratios); 1e-100 ends cleanly in every method
+# smallest absolute tolerance: atol = 0 hangs DOP853 on state components
+# that stay exactly zero (0/0 error ratios); 1e-100 ends cleanly
 MIN_ATOL = 1e-100
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use so that importing
+    the package (and the report and stability commands) loads no scipy."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,7 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
                    include_radiation_pressure: bool = True,
                    force_model: str = "exact_log",
                    rtol: float = 1e-10, atol: float = 1e-16,
-                   samples: int = 4097, method: str = "RK45"
-                   ) -> TrajectoryRecord:
+                   samples: int = 4097) -> TrajectoryRecord:
     """Integrate M R'' = F(R) in the Gaussian trap.
 
     ``initial`` is a (position, velocity) pair of 3-vectors (metres, m/s,
@@ -152,7 +156,7 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     escaped.direction = 1.0
 
     sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([position0, velocity0]),
-                    method=method, rtol=rtol, atol=atol,
+                    method="DOP853", rtol=rtol, atol=atol,
                     t_eval=np.linspace(0.0, t_end, samples), events=escaped)
     if sol.status == 1:
         raise EscapedTrap(f"ion beyond {ESCAPE_RADIUS_WAISTS:g} waists at "
@@ -165,7 +169,7 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     kin = 0.5 * mass * np.sum(vel ** 2, axis=-1)
     pot = effective_potential_at(setup, pos, mode=force_model) \
         + _static_potential(setup, pos)
-    meta = {"integrator": method, "rtol": rtol, "atol": atol,
+    meta = {"integrator": "DOP853", "rtol": rtol, "atol": atol,
             "force_model": force_model,
             "radiation_pressure": include_radiation_pressure}
     return TrajectoryRecord(times=sol.t, positions=pos, velocities=vel,
@@ -239,15 +243,29 @@ def exact_driven_position(spec: DrivenOscillatorSpec, t):
             + (spec.v0 / spec.omega0) * np.sin(spec.omega0 * t))
 
 
+def driven_steps(omega0: float, drive_frequency: float, t_end: float = None,
+                 drive_periods: int = None, steps_per_period: int = 64):
+    """(t_end, step count) of :func:`integrate_driven`.
+
+    The step divides the period of the fastest frequency present
+    (max(w_d, w0)) into at least ``steps_per_period`` pieces.  Give the
+    duration either directly (``t_end``) or as a number of drive periods.
+    The count is a whole float, inf where it passes the float range.
+    """
+    if (t_end is None) == (drive_periods is None):
+        raise ValueError("specify exactly one of t_end, drive_periods")
+    if drive_periods is not None:
+        t_end = drive_periods * 2.0 * np.pi / drive_frequency
+    h = (2.0 * np.pi / max(drive_frequency, omega0)) / steps_per_period
+    return t_end, max(float(np.ceil(t_end / h - 1e-9)), 1.0)
+
+
 def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
                      drive_periods: int = None, steps_per_period: int = 64,
                      sample_every: int = 1) -> TrajectoryRecord:
-    """Fixed-step integration of the driven oscillator.
-
-    The step divides the period of the fastest frequency present
-    (max(w_d, w0)) into at least ``steps_per_period`` pieces (>= 64).
-    Specify the duration either directly (``t_end``) or as a number of
-    drive periods.  Raises :class:`UnreachableScale` for w_d/w0 > 1e6.
+    """Fixed-step integration of the driven oscillator over the steps of
+    :func:`driven_steps` (``steps_per_period`` >= 64).  Raises
+    :class:`UnreachableScale` for w_d/w0 > 1e6.
     """
     ratio = spec.drive_frequency / spec.omega0
     if ratio > 1e6:
@@ -256,13 +274,9 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
             "steady state and its scaling law instead")
     if steps_per_period < 64:
         raise ValueError("steps_per_period must be at least 64")
-    if (t_end is None) == (drive_periods is None):
-        raise ValueError("specify exactly one of t_end, drive_periods")
-    fast = max(spec.drive_frequency, spec.omega0)
-    h = (2.0 * np.pi / fast) / steps_per_period
-    if drive_periods is not None:
-        t_end = drive_periods * 2.0 * np.pi / spec.drive_frequency
-    nsteps = max(int(np.ceil(t_end / h - 1e-9)), 1)
+    t_end, nsteps = driven_steps(spec.omega0, spec.drive_frequency, t_end,
+                                 drive_periods, steps_per_period)
+    nsteps = int(nsteps)
     h = t_end / nsteps
 
     # Python floats throughout, so the RK8 float path stays in float math
@@ -328,6 +342,7 @@ def equilibrium_shift(setup: TrapSetup, include_radiation_pressure: bool = True,
     """
     if not include_radiation_pressure:
         return 0.0
+    from scipy.optimize import bisect
     axial_curv = setup.static_curvatures[2]
     mass = setup.ion.total_mass
 
@@ -356,6 +371,7 @@ def dominant_frequency(times, values) -> float:
     amplitude; accurate to ~1e-8 relative for clean tones over hundreds
     of periods.
     """
+    from scipy.optimize import minimize_scalar
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(times)

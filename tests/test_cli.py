@@ -476,3 +476,107 @@ def test_bad_input_exits_2_or_3_and_writes_nothing(
     assert main(argv) == code
     assert named in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# ---------------------------------------------------------------------------
+# the simulate block: duration, float range and trajectory rows are checked
+# when the config is read
+# ---------------------------------------------------------------------------
+
+def _driven(cfg, t_end_s=None, **options):
+    cfg["simulate"] = {"mode": "driven", "options": {
+        "omega0_2pi_kHz": 100.0, "drive_ratio": 10.0, "field_V_m": 1.0,
+        **options}}
+    if t_end_s is not None:
+        cfg["simulate"]["t_end_s"] = t_end_s
+    return cfg
+
+
+def _full(cfg, **options):
+    cfg["simulate"]["options"].update(options)
+    return cfg
+
+
+@pytest.mark.parametrize("change,named", [
+    pytest.param(lambda cfg: _driven(cfg, t_end_s=1e-7, drive_periods=2),
+                 "simulate.t_end_s, simulate.options.drive_periods",
+                 id="t_end_s-and-drive_periods"),
+    pytest.param(lambda cfg: _driven(cfg, drive_periods=2,
+                                     omega0_2pi_kHz=1e306),
+                 "simulate.options.omega0_2pi_kHz", id="omega0-overflow"),
+    pytest.param(lambda cfg: _driven(cfg, drive_periods=2,
+                                     omega0_2pi_kHz=1e300, drive_ratio=1e10),
+                 "simulate.options.drive_ratio", id="drive-overflow"),
+    pytest.param(lambda cfg: _driven(cfg, drive_periods=10**15),
+                 "simulate.options.drive_periods", id="drive_periods-rows"),
+    pytest.param(lambda cfg: _driven(cfg, t_end_s=1e300), "simulate.t_end_s",
+                 id="t_end_s-rows"),
+    pytest.param(lambda cfg: _full(cfg, samples=10**15),
+                 "simulate.options.samples", id="samples-rows"),
+    pytest.param(lambda cfg: _full(cfg, method="DOP853"),
+                 "unknown key: simulate.options.method", id="method"),
+])
+def test_simulate_block_refused_when_read(tmp_path, capsys, mg24_config,
+                                          change, named):
+    config = write_config(tmp_path, change(mg24_config))
+    out = tmp_path / "out"
+    assert main(["simulate", str(config), "--out-dir", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a trajectory past the float range is a numerical failure, not a file
+@pytest.mark.parametrize("options", [{"field_V_m": 1e300},
+                                     {"omega0_2pi_kHz": 1e-300}],
+                         ids=["field-1e300", "omega0-1e-300"])
+def test_simulate_nonfinite_trajectory_exits_3(tmp_path, capsys, mg24_config,
+                                               options):
+    config = write_config(tmp_path, _driven(mg24_config, drive_periods=2,
+                                            **options))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["simulate", str(config), "--out-dir", str(out)]) == 3
+    assert "float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# resonance and unreachable ratios are physics, decided by the run
+@pytest.mark.parametrize("ratio", [1.0, 1e7])
+def test_driven_physics_refusal_only_from_simulate(tmp_path, mg24_config,
+                                                   ratio):
+    config = write_config(tmp_path, _driven(mg24_config, drive_periods=2,
+                                            drive_ratio=ratio))
+    assert main(["report", str(config), "--out-dir", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["simulate", str(config), "--out-dir", str(out)]) == 3
+    assert not out.exists()
+
+
+def _run_cli_process(tmp_path, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("TRAP_FLOAT_DIGITS", None)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          cwd=tmp_path)
+
+
+def test_focus_scattering_warning_printed_once(tmp_path, mg24_config):
+    # s0 = 0.14 at the focus; |delta| is 7500 linewidths
+    mg24_config["laser"]["depth_mK"] = 1000.0
+    config = write_config(tmp_path, mg24_config)
+    proc = _run_cli_process(tmp_path, "-m", "optrap.cli", "report",
+                            str(config), "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (
+        "warning: SaturationValidityWarning: saturation above 0.1: "
+        "low-saturation scattering formula is inaccurate\n")
+
+
+def test_import_cli_loads_no_scipy(tmp_path):
+    proc = _run_cli_process(
+        tmp_path, "-c", "import sys, optrap.cli; print(sorted(m for m in "
+        "sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -130,7 +130,7 @@ def test_trajectory_record_validation(mg_setup):
                             1e-5, include_radiation_pressure=False,
                             samples=64)
     assert len(record.times) == 64
-    assert record.metadata["integrator"] == "RK45"
+    assert record.metadata["integrator"] == "DOP853"
     text = record.to_csv_text()
     lines = text.splitlines()
     assert lines[0] == "t,x,y,z,vx,vy,vz,E_kin,E_pot,E_tot"

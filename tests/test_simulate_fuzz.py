@@ -21,9 +21,6 @@ _WRONG_TYPE = st.one_of(st.none(), st.text(max_size=4), st.booleans(),
 # (valid values, invalid values) per option; a drawn block has any subset
 # of valid options and at most one invalid one
 _FULL = {
-    "method": (st.sampled_from(["RK23", "RK45", "DOP853", "Radau", "BDF",
-                                "LSODA"]),
-               st.one_of(st.sampled_from(["rk45", "foo", ""]), _WRONG_TYPE)),
     "force_model": (st.sampled_from(["exact_log", "low_sat"]),
                     st.one_of(st.just("bar"), _WRONG_TYPE)),
     "rtol": (st.one_of(st.floats(min_value=1e-13, max_value=1e-2),
@@ -34,11 +31,26 @@ _FULL = {
              st.one_of(st.sampled_from([0, -1e-16, 1e-200]), _WRONG_TYPE)),
     "samples": (st.integers(min_value=2, max_value=40),
                 st.one_of(st.integers(min_value=-2, max_value=1),
-                          st.sampled_from([2.0, 2.5]), _WRONG_TYPE)),
+                          st.sampled_from([2.0, 2.5, 10**15]), _WRONG_TYPE)),
     "include_radiation_pressure": (st.booleans(),
                                    st.sampled_from([0, 1, "yes", None])),
 }
+# the valid frequencies and fields include values whose squares, products
+# or trajectories pass the float range
 _DRIVEN = {
+    "omega0_2pi_kHz": (st.one_of(st.floats(min_value=1.0, max_value=1e3),
+                                 st.sampled_from([1e-300, 1e300, 1e306])),
+                       st.one_of(st.sampled_from([0.0, -1.0, float("nan"),
+                                                  float("inf")]),
+                                 _WRONG_TYPE)),
+    "drive_ratio": (st.one_of(st.floats(min_value=0.5, max_value=100.0),
+                              st.sampled_from([1e-10, 1.0, 1e7, 1e10])),
+                    st.one_of(st.sampled_from([0.0, -10.0, float("inf")]),
+                              _WRONG_TYPE)),
+    "field_V_m": (st.one_of(st.floats(min_value=0.0, max_value=1e6),
+                            st.sampled_from([1e300, 1.7e308])),
+                  st.one_of(st.sampled_from([-1.0, float("nan")]),
+                            _WRONG_TYPE)),
     "steps_per_period": (st.integers(min_value=64, max_value=200),
                          st.one_of(st.integers(min_value=0, max_value=63),
                                    st.just(64.0), _WRONG_TYPE)),
@@ -63,8 +75,10 @@ def _simulate_blocks(draw):
     block = {"mode": "driven",
              "options": {"omega0_2pi_kHz": 100.0, "drive_ratio": 10.0,
                          "field_V_m": 1.0, **options}}
+    # t_end_s with a drawn drive_periods is the refused pair, and neither
+    # is the refused missing duration
     if draw(st.booleans()):
-        block["t_end_s"] = 1e-7
+        block["t_end_s"] = draw(st.sampled_from([1e-7, 1e300]))
     return block
 
 
