@@ -25,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (block_range, check_scan, check_steps, load_config,
-                     range_flag)
+from .config import (block_range, check_full_span, check_scan, check_steps,
+                     load_config, range_flag)
 from .dynamics import (DrivenOscillatorSpec, dominant_frequency,
                        integrate_driven, integrate_full)
 from .errors import ConfigError, PhysicsError
-from .mathieu_floquet import DEFAULT_STEPS, stability_scan
+from .mathieu_floquet import stability_scan
 from .reporting import build_report, render_text
 from .units import format_sig
 
@@ -87,7 +87,7 @@ def run_stability(args) -> int:
                               "in config")
     a_range, q_range = check_scan(axes)
     steps = (check_steps(args.steps, "--steps") if args.steps is not None
-             else parsed.scan.get("monodromy_steps", DEFAULT_STEPS))
+             else parsed.scan.get("monodromy_steps"))
 
     grid = stability_scan(a_range[:2], q_range[:2], (a_range[2], q_range[2]),
                           steps=steps)
@@ -105,6 +105,7 @@ def run_simulate(args) -> int:
     if not sim:
         raise ConfigError("config has no simulate block")
     if sim["mode"] == "full":
+        check_full_span(parsed.setup, sim["t_end_s"])
         # the option keys are integrate_full's keyword names, and its
         # defaults apply to every option the config leaves out
         record = integrate_full(parsed.setup, sim["initial"], sim["t_end_s"],
@@ -144,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     stab.add_argument("--a", help="a range as min:max:step")
     stab.add_argument("--q", help="q range as min:max:step")
     stab.add_argument("--steps", type=int, default=None,
-                      help="monodromy integration steps per period")
+                      help="RK8 monodromy steps over the half period, used "
+                      "verbatim (default: set by the largest |a| + 2|q|)")
     stab.add_argument("--out-dir", default=".")
     stab.set_defaults(func=run_stability)
 

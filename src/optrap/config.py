@@ -14,9 +14,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .model import IonSpecies, LaserBeam, TrapSetup, setup_from_beam
-from .dipole_trap import FORCE_MODELS, power_for_depth
+from .dipole_trap import (FOCUS, FORCE_MODELS, effective_potential_at,
+                          optical_curvatures, power_for_depth)
 from .dynamics import MIN_ATOL, driven_steps
 from .mathieu_floquet import grid_count
 from . import units
@@ -32,6 +35,10 @@ MAX_SCAN_CELLS = 1_000_000
 # most rows one trajectory may have: a full or driven `trap simulate` peaks
 # at about 0.48 kB per row (tracemalloc, 10,000 to 41,000 rows), so ~0.5 GB
 MAX_TRAJECTORY_ROWS = 1_000_000
+# longest full-mode span, in periods of the fastest real secular frequency:
+# DOP853 spends ~260 force evaluations per period, so mg24 over 10**4
+# radial periods takes ~75 s (2-vCPU VM)
+MAX_FULL_PERIODS = 10_000
 
 
 @dataclass(frozen=True)
@@ -336,6 +343,26 @@ def _validate_simulate(sim: dict) -> dict:
                          "field_amplitude": field, "x0": initial[0],
                          "v0": initial[1]}}
     return {**sim, "options": options, "initial": initial}
+
+
+def check_full_span(setup: TrapSetup, t_end: float):
+    """Refuse a full-mode span past ``MAX_FULL_PERIODS`` periods of the
+    fastest real secular frequency.  Without one (an unconfined ion
+    escapes) or past the float range, the run's physics checks decide.
+    Only `trap simulate` runs it: the limit is on the integration, and a
+    report on the same trap stays valid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        depth = -effective_potential_at(setup, FOCUS)
+        omega_sq = max(w_sq + curv for w_sq, curv in zip(
+            optical_curvatures(setup, depth), setup.static_curvatures))
+    if 0.0 < omega_sq < math.inf:
+        omega = math.sqrt(omega_sq)
+        periods = t_end * omega / (2.0 * math.pi)
+        if periods > MAX_FULL_PERIODS:
+            raise ConfigError(
+                f"simulate.t_end_s: {t_end:g} s is {periods:.3g} periods of "
+                f"the fastest secular frequency ({omega:.4g} rad/s), more "
+                f"than {MAX_FULL_PERIODS}")
 
 
 def _check_rows(rows, keys: str):

@@ -81,6 +81,15 @@ def trap_depth(setup: TrapSetup) -> float:
     return abs(effective_potential_at(setup, FOCUS, mode="low_sat"))
 
 
+def optical_curvatures(setup: TrapSetup, depth: float) -> tuple:
+    """Optical omega^2 per beam-frame axis at the focus, (rad/s)^2, for the
+    signed depth U = -V_eff(focus): 4 U / (M w0^2) transversally and
+    2 U / (M zR^2) axially (U0 for a red beam; a blue one's U < 0)."""
+    mass = setup.ion.total_mass
+    radial = 4.0 * depth / (mass * setup.beam.waist_radius ** 2)
+    return radial, radial, 2.0 * depth / (mass * setup.beam.rayleigh_range ** 2)
+
+
 def _exact_log_force(setup: TrapSetup, position, s):
     """-grad (hbar delta / 2) ln(1 + s) at ``position``, given s there."""
     grad_s = _saturation_gradient(setup, position)
@@ -185,12 +194,7 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
             "trap summary requires red detuning (delta < 0); got "
             f"delta = {setup.beam.detuning:g} rad/s")
     depth = trap_depth(setup)
-    mass = setup.ion.total_mass
-    w0 = setup.beam.waist_radius
-    zr = setup.beam.rayleigh_range
-    omega_radial = np.sqrt(4.0 * depth / (mass * w0 ** 2))
-    omega_axial = np.sqrt(2.0 * depth / (mass * zr ** 2))
-    optical = (omega_radial, omega_radial, omega_axial)
+    optical = tuple(map(np.sqrt, optical_curvatures(setup, depth)))
 
     combined = []
     anticonfined = []

@@ -294,8 +294,10 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
     positions[:, 0] = xs
     velocities = np.zeros_like(positions)
     velocities[:, 0] = vs
-    kin = 0.5 * spec.mass * vs ** 2
-    pot = 0.5 * spec.mass * w0_sq * xs ** 2
+    # an energy past the float range is inf, refused by the caller
+    with np.errstate(over="ignore"):
+        kin = 0.5 * spec.mass * vs ** 2
+        pot = 0.5 * spec.mass * w0_sq * xs ** 2
     meta = {"integrator": "rk8-fixed", "steps_per_period": steps_per_period,
             "step": h, "drive_ratio": ratio}
     return TrajectoryRecord(times=ts, positions=positions,

@@ -249,6 +249,20 @@ def test_stability_from_config_scan_block(tmp_path, mg24_config):
     assert len(lines) == 1 + 9
 
 
+def test_stability_default_step_cap_exits_3(tmp_path, capsys):
+    grid = ["--a=1e7:1e7:1", "--q=0:0:1"]
+    out = tmp_path / "out"
+    assert main(["stability", str(MG24), *grid, "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "|a| = 1e+07, |q| = 0" in err
+    assert "limit 65536" in err
+    assert not (out / "stability.csv").exists()
+    # an explicit count is used verbatim and is not capped
+    assert main(["stability", str(MG24), *grid, "--steps", "1",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "stability.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -525,6 +539,20 @@ def test_simulate_block_refused_when_read(tmp_path, capsys, mg24_config,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_end_s", [1.0, 1e300])
+def test_full_span_refused_before_integrating(tmp_path, capsys, mg24_config,
+                                              t_end_s):
+    # mg24 at t_end_s 1.0 is ~190,000 radial periods
+    mg24_config["simulate"]["t_end_s"] = t_end_s
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, mg24_config)),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "simulate.t_end_s" in err
+    assert "more than 10000" in err
+    assert not out.exists()
+
+
 # a trajectory past the float range is a numerical failure, not a file
 @pytest.mark.parametrize("options", [{"field_V_m": 1e300},
                                      {"omega0_2pi_kHz": 1e-300}],
@@ -580,3 +608,15 @@ def test_import_cli_loads_no_scipy(tmp_path):
         "sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_driven_overflow_prints_only_its_exit_line(tmp_path, mg24_config):
+    config = write_config(tmp_path, _driven(mg24_config, drive_periods=2,
+                                            field_V_m=1e300))
+    out = tmp_path / "out"
+    proc = _run_cli_process(tmp_path, "-m", "optrap.cli", "simulate",
+                            str(config), "--out-dir", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == ("physics error: the trajectory leaves the float "
+                           "range\n")
+    assert not out.exists()

@@ -116,6 +116,21 @@ def test_simulate_block_validation():
         parse_config(cfg)
 
 
+def test_full_span_cap_counts_periods_of_the_fastest_secular_frequency():
+    from optrap.config import MAX_FULL_PERIODS, check_full_span
+    from optrap.dipole_trap import trap_summary
+    cfg = copy.deepcopy(BASE)
+    # a (2 pi x 1 MHz)^2 axial curvature makes the axial axis the fastest
+    cfg["static"]["curvatures_2pi_kHz_squared"] = [0.0, 0.0, 1e6]
+    setup = parse_config(cfg).setup
+    omega = trap_summary(setup).combined_trap_frequencies[2]
+    assert omega > 5 * trap_summary(parse_config(BASE).setup).omega0
+    longest = MAX_FULL_PERIODS * 2 * np.pi / omega
+    check_full_span(setup, 0.99 * longest)
+    with pytest.raises(ConfigError, match="simulate.t_end_s"):
+        check_full_span(setup, 1.01 * longest)
+
+
 @pytest.mark.parametrize("steps", ["abc", 0.5, 0, -5, True, 4096.0])
 def test_monodromy_steps_must_be_positive_integer(steps):
     cfg = copy.deepcopy(BASE)

@@ -323,9 +323,11 @@ def test_dominant_frequency_synthetic():
 # ---------------------------------------------------------------------------
 # pinned trajectory bytes
 # ---------------------------------------------------------------------------
-# The expected files come from an implementation that evaluated np.cos in
-# the RK8 accelerations, s0/I0 on every force call and format_sig on every
-# CSV cell; computing those invariants once must reproduce every byte.
+# The driven file comes from an implementation that evaluated np.cos in
+# the RK8 accelerations and format_sig on every CSV cell; computing those
+# invariants once must reproduce every byte.  The two full-trajectory
+# files come from scipy's DOP853 with s0/I0 computed once per setup; they
+# change only if that integration or the force arithmetic changes.
 
 DATA = Path(__file__).resolve().parent / "data"
 

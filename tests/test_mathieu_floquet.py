@@ -146,6 +146,26 @@ def test_monodromy_against_independent_integrator():
         assert monodromy_stability((a, q)).stable == (abs(np.trace(ref)) < 2)
 
 
+def test_default_steps_hold_across_a_wide_domain():
+    # the default count follows the fastest local rate, so the accuracy
+    # holds far outside [-2, 2]^2; "relative" is against max(|trace|, 1),
+    # since inside the band the trace crosses 0, and det M - 1 against
+    # M11^2, the size of the two products it is the difference of (up to
+    # ~1e272 at a = -1e4)
+    rng = np.random.default_rng(29)
+    corners = [(a, q) for a in (-1e4, 1e4) for q in (-1e3, 1e3)]
+    drawn = [(rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 4),
+              rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 3))
+             for _ in range(16)]
+    for a, q in corners + drawn:
+        ours = mathieu_monodromy(a, q)
+        ref = np.trace(scipy_monodromy(a, q))
+        assert abs(np.trace(ours) - ref) <= 1e-10 * max(abs(ref), 1.0)
+        assert ours[0, 0] == ours[1, 1]
+        det = ours[0, 0] * ours[1, 1] - ours[0, 1] * ours[1, 0]
+        assert abs(det - 1.0) <= 1e-12 * max(ours[0, 0] ** 2, 1.0)
+
+
 def test_harmonic_case_quarter_rotation():
     # q = 0, a = 0.25: pure harmonic motion, multipliers e^{+-i pi/2}
     res = monodromy_stability((0.25, 0.0))
