@@ -3,9 +3,9 @@
 Library layout:
 
 * :mod:`optrap.model` — domain types (ion, transition, beam, setup) and
-  Gaussian-beam field evaluation;
-* :mod:`optrap.dipole_trap` — saturation, mean force, effective potential,
-  scattering, trap depth/frequencies and the frequency hierarchy;
+  Gaussian-beam field and saturation evaluation;
+* :mod:`optrap.dipole_trap` — mean force, effective potential, scattering,
+  trap depth/frequencies, confinement and the frequency hierarchy;
 * :mod:`optrap.charge_corrections` — the ledger of charge/multipole/
   relativistic corrections to pure dipole trapping;
 * :mod:`optrap.mathieu_floquet` — optical-potential -> Mathieu mapping,
@@ -19,11 +19,12 @@ Library layout:
 from .constants import CONST, PhysicalConstants
 from .model import (FieldAmplitudes, IonSpecies, LaserBeam, TrapSetup,
                     Transition, field_amplitudes_at, intensity_at,
-                    intensity_gradient_at, rabi_frequency_at, setup_from_beam)
+                    intensity_gradient_at, rabi_frequency_at, saturation_at,
+                    setup_from_beam)
 from .dipole_trap import (MeanForce, TrapSummary, dipole_force_at,
                           effective_potential_at, mean_force_at,
-                          power_for_depth, recoil_energy, saturation_at,
-                          scattering_rate_at, trap_depth, trap_summary)
+                          power_for_depth, recoil_energy, scattering_rate_at,
+                          trap_depth, trap_summary)
 from .charge_corrections import (CorrectionLedger, LedgerEntry, MonopoleDrive,
                                  MultipoleRatios, RelativisticRatios,
                                  corrections_table, monopole_drive,

@@ -7,7 +7,8 @@ Three subcommands over a JSON configuration:
     trap simulate <config>    -> trajectory.csv  (needs a simulate block)
 
 Exit codes: 0 success, 2 configuration error, 3 physics/numerical error.
-Each warning goes to stderr as one line, ``warning: <Category>: <message>``.
+A refused command prints only its error line; a successful one then
+prints each warning to stderr as one line, ``warning: <Category>: <message>``.
 Outputs are deterministic: identical configs give byte-identical files
 (no timestamps; floats rendered by fixed rules).  Files are written
 atomically (temp + rename).  ``TRAP_FLOAT_DIGITS`` (default 9) sets the
@@ -27,8 +28,8 @@ import numpy as np
 
 from .config import (block_range, check_full_span, check_scan, check_steps,
                      load_config, range_flag)
-from .dynamics import (DrivenOscillatorSpec, dominant_frequency,
-                       integrate_driven, integrate_full)
+from .dynamics import (DEFAULT_SAMPLES, DrivenOscillatorSpec,
+                       dominant_frequency, integrate_driven, integrate_full)
 from .errors import ConfigError, PhysicsError
 from .mathieu_floquet import stability_scan
 from .reporting import build_report, render_text
@@ -105,7 +106,8 @@ def run_simulate(args) -> int:
     if not sim:
         raise ConfigError("config has no simulate block")
     if sim["mode"] == "full":
-        check_full_span(parsed.setup, sim["t_end_s"])
+        check_full_span(parsed.setup, sim["t_end_s"],
+                        sim["options"].get("samples", DEFAULT_SAMPLES))
         # the option keys are integrate_full's keyword names, and its
         # defaults apply to every option the config leaves out
         record = integrate_full(parsed.setup, sim["initial"], sim["t_end_s"],
@@ -158,20 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_warning(message, category, filename, lineno, file=None,
-                   line=None):
-    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # one line per warning; restored on return, so library callers keep
-    # Python's format and every caller keeps its filters
-    with warnings.catch_warnings():
-        warnings.showwarning = _print_warning
+    args = build_parser().parse_args(argv)
+    # warnings are held until the command ends and printed one line each,
+    # only on success; the caller's filters and warning functions stay
+    with warnings.catch_warnings(record=True) as caught:
         try:
-            return args.func(args)
+            code = args.func(args)
         except (ConfigError, OSError) as exc:
             # OSError: an unreadable config or an unusable output directory
             print(f"config error: {exc}", file=sys.stderr)
@@ -179,6 +174,10 @@ def main(argv=None) -> int:
         except PhysicsError as exc:
             print(f"physics error: {exc}", file=sys.stderr)
             return EXIT_PHYSICS
+    for warning in caught:
+        print(f"warning: {warning.category.__name__}: {warning.message}",
+              file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,17 +10,16 @@ is inverted through the exact linearity of the weak-drive depth in power.
 
 import json
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
-from .errors import ConfigError
+from .errors import ConfigError, FrequencyRangeWarning
 from .model import IonSpecies, LaserBeam, TrapSetup, setup_from_beam
 from .dipole_trap import (FOCUS, FORCE_MODELS, effective_potential_at,
-                          optical_curvatures, power_for_depth)
-from .dynamics import MIN_ATOL, driven_steps
+                          power_for_depth, secular_curvatures)
+from .dynamics import DEFAULT_SAMPLES, MIN_ATOL, driven_steps
 from .mathieu_floquet import grid_count
 from . import units
 
@@ -345,16 +344,15 @@ def _validate_simulate(sim: dict) -> dict:
     return {**sim, "options": options, "initial": initial}
 
 
-def check_full_span(setup: TrapSetup, t_end: float):
+def check_full_span(setup: TrapSetup, t_end: float,
+                    samples: int = DEFAULT_SAMPLES):
     """Refuse a full-mode span past ``MAX_FULL_PERIODS`` periods of the
-    fastest real secular frequency.  Without one (an unconfined ion
-    escapes) or past the float range, the run's physics checks decide.
-    Only `trap simulate` runs it: the limit is on the integration, and a
-    report on the same trap stays valid."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        depth = -effective_potential_at(setup, FOCUS)
-        omega_sq = max(w_sq + curv for w_sq, curv in zip(
-            optical_curvatures(setup, depth), setup.static_curvatures))
+    fastest real secular frequency omega; warn if ``samples`` alias it (are
+    pi/omega or more apart).  Without one (an unconfined ion escapes) or
+    past the float range, the run's physics checks decide.  Only `trap
+    simulate` runs it: a report on the same trap stays valid."""
+    depth = -effective_potential_at(setup, FOCUS)
+    omega_sq = max(secular_curvatures(setup, depth))
     if 0.0 < omega_sq < math.inf:
         omega = math.sqrt(omega_sq)
         periods = t_end * omega / (2.0 * math.pi)
@@ -363,6 +361,14 @@ def check_full_span(setup: TrapSetup, t_end: float):
                 f"simulate.t_end_s: {t_end:g} s is {periods:.3g} periods of "
                 f"the fastest secular frequency ({omega:.4g} rad/s), more "
                 f"than {MAX_FULL_PERIODS}")
+        spacing = t_end / (samples - 1)
+        if spacing >= math.pi / omega:
+            warnings.warn(
+                f"simulate.options.samples: {samples} samples over "
+                f"{t_end:g} s are {spacing:.3g} s apart, at least pi/omega "
+                f"for the fastest secular frequency ({omega:.4g} rad/s); "
+                "the dominant frequency is aliased",
+                FrequencyRangeWarning, stacklevel=2)
 
 
 def _check_rows(rows, keys: str):

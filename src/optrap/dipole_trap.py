@@ -14,12 +14,11 @@ harmonic frequencies reported here are based on; the log form
 and is available as a separate mode.
 
 s is proportional to the intensity, so grad s = (s0 / I0) grad I with the
-focus values s0 and I0.  That scale depends on the setup only; it is
-computed once per (frozen, hashable) setup and reused by every force
-evaluation on it.
+focus values s0 and I0.  That scale depends on the setup only; the setup
+keeps it (:attr:`~optrap.model.TrapSetup.saturation_per_intensity`,
+computed on first use), and every force evaluation on it reuses it.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -27,34 +26,10 @@ import numpy as np
 
 from .constants import CONST
 from .errors import BlueDetunedUnsupported, SaturationValidityWarning
-from .model import TrapSetup, intensity_gradient_at, rabi_frequency_at
+from .model import (FOCUS, TrapSetup, intensity_gradient_at,
+                    rabi_frequency_at, saturation_at)
 
-FOCUS = (0.0, 0.0, 0.0)                  # positions are measured from it
 FORCE_MODELS = ("exact_log", "low_sat")  # the modes of dipole_force_at
-
-
-def saturation_at(setup: TrapSetup, position):
-    """Saturation parameter s(R) = (Omega^2/2) / (delta^2 + Gamma^2/4)."""
-    omega = rabi_frequency_at(setup, position)
-    delta = setup.beam.detuning
-    gamma = setup.transition.linewidth
-    return 0.5 * omega ** 2 / (delta ** 2 + 0.25 * gamma ** 2)
-
-
-@functools.lru_cache(maxsize=16)
-def _saturation_scale(setup: TrapSetup) -> float:
-    """s0 / I0, the saturation per unit intensity: one value per setup.
-
-    Keyed by the frozen (hashable) setup, so force evaluations along a
-    trajectory compute it once; a setup that differs in any field gets
-    its own entry.
-    """
-    return saturation_at(setup, FOCUS) / setup.beam.focus_intensity
-
-
-def _saturation_gradient(setup: TrapSetup, position):
-    """grad s; s is proportional to intensity so this reuses grad I."""
-    return _saturation_scale(setup) * intensity_gradient_at(setup.beam, position)
 
 
 def effective_potential_at(setup: TrapSetup, position, mode: str = "low_sat"):
@@ -90,21 +65,29 @@ def optical_curvatures(setup: TrapSetup, depth: float) -> tuple:
     return radial, radial, 2.0 * depth / (mass * setup.beam.rayleigh_range ** 2)
 
 
-def _exact_log_force(setup: TrapSetup, position, s):
-    """-grad (hbar delta / 2) ln(1 + s) at ``position``, given s there."""
-    grad_s = _saturation_gradient(setup, position)
+def secular_curvatures(setup: TrapSetup, depth: float) -> tuple:
+    """omega_opt^2 + omega_s^2 per beam-frame axis, (rad/s)^2: the optical
+    curvature of the signed depth plus the static one.  The one
+    confinement rule: an axis is anticonfined iff its value is negative."""
+    return tuple(w_sq + curv for w_sq, curv in zip(
+        optical_curvatures(setup, depth), setup.static_curvatures))
+
+
+def _dipole_force(setup: TrapSetup, position, s):
+    """-grad (hbar delta / 2) ln(1 + s) at ``position``, given s there;
+    s = 0 drops the 1/(1 + s), giving -grad (hbar delta / 2) s."""
+    grad_s = setup.saturation_per_intensity * intensity_gradient_at(
+        setup.beam, position)
     half = 0.5 * CONST.hbar * setup.beam.detuning
-    return -half / (1.0 + s)[..., np.newaxis] * grad_s
+    return -half / np.expand_dims(1.0 + s, -1) * grad_s
 
 
 def dipole_force_at(setup: TrapSetup, position, mode: str = "exact_log"):
     """Conservative dipole force -grad V, shape (..., 3), N."""
-    if mode == "exact_log":
-        return _exact_log_force(setup, position, saturation_at(setup, position))
-    if mode != "low_sat":
+    if mode not in FORCE_MODELS:
         raise ValueError(f"unknown potential mode: {mode!r}")
-    return -0.5 * CONST.hbar * setup.beam.detuning \
-        * _saturation_gradient(setup, position)
+    s = saturation_at(setup, position) if mode == "exact_log" else 0.0
+    return _dipole_force(setup, position, s)
 
 
 @dataclass(frozen=True)
@@ -122,7 +105,7 @@ class MeanForce:
 def mean_force_at(setup: TrapSetup, position) -> MeanForce:
     """Mean optical force after averaging over the optical period."""
     s = saturation_at(setup, position)
-    dip = _exact_log_force(setup, position, s)
+    dip = _dipole_force(setup, position, s)
     gamma = setup.transition.linewidth
     k = setup.beam.wavenumber
     mag = 0.5 * CONST.hbar * gamma * (s / (1.0 + s)) * k
@@ -185,28 +168,23 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
         omega_axial  = sqrt(2 U0 / (M zR^2))
 
     Static curvatures add in quadrature per axis, signed; an axis whose
-    combined curvature is negative is reported in ``anticonfined_axes``
-    (with NaN frequency) rather than raising.  The focus scattering rate
-    is :func:`scattering_rate_at`'s formula, with its validity warnings.
+    combined curvature (:func:`secular_curvatures`) is negative is
+    reported in ``anticonfined_axes`` (with NaN frequency) rather than
+    raising.  The focus scattering rate is :func:`scattering_rate_at`'s
+    formula, with its validity warnings.
     """
     if setup.beam.detuning >= 0:
         raise BlueDetunedUnsupported(
             "trap summary requires red detuning (delta < 0); got "
             f"delta = {setup.beam.detuning:g} rad/s")
     depth = trap_depth(setup)
-    optical = tuple(map(np.sqrt, optical_curvatures(setup, depth)))
-
-    combined = []
-    anticonfined = []
-    for i, (w_opt, curv) in enumerate(zip(optical, setup.static_curvatures)):
-        total_sq = w_opt ** 2 + curv
-        if total_sq < 0:
-            anticonfined.append(i)
-            combined.append(float("nan"))
-        else:
-            combined.append(float(np.sqrt(total_sq)))
-    finite = [w for w in combined if np.isfinite(w)]
-    omega0 = max(finite) if finite else float("nan")
+    optical = tuple(float(np.sqrt(w_sq))
+                    for w_sq in optical_curvatures(setup, depth))
+    total_sq = secular_curvatures(setup, depth)
+    anticonfined = tuple(i for i, w_sq in enumerate(total_sq) if w_sq < 0)
+    combined = tuple(float("nan") if w_sq < 0 else float(np.sqrt(w_sq))
+                     for w_sq in total_sq)
+    omega0 = max((w for w in combined if np.isfinite(w)), default=float("nan"))
 
     e_rec = recoil_energy(setup)
     s0 = saturation_at(setup, FOCUS)
@@ -227,9 +205,9 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
         saturation_at_focus=float(s0),
         scattering_rate_at_focus=float(_scattering_rate(setup, s0)),
         recoil_energy=float(e_rec),
-        optical_trap_frequencies=tuple(float(w) for w in optical),
-        combined_trap_frequencies=tuple(combined),
-        anticonfined_axes=tuple(anticonfined),
+        optical_trap_frequencies=optical,
+        combined_trap_frequencies=combined,
+        anticonfined_axes=anticonfined,
         omega0=float(omega0),
         motional_temperature=float(CONST.hbar * omega0 / CONST.kB),
         hierarchy=hierarchy,

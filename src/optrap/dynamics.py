@@ -9,7 +9,8 @@ Two deliberately separate integrations:
   Dormand-Prince pair (Hairer, Norsett & Wanner, *Solving ODEs I*).  What
   does not change along the trajectory is computed once: the static
   curvatures' stiffness per run, and the saturation per unit intensity
-  s0/I0 once per setup (cached in :mod:`optrap.dipole_trap`).  Each
+  s0/I0 once per setup (kept by the setup,
+  :attr:`~optrap.model.TrapSetup.saturation_per_intensity`).  Each
   right-hand-side evaluation calls the public force functions.
 
 * :func:`integrate_driven` solves the charge-monopole driven harmonic
@@ -43,6 +44,7 @@ INITIAL_WARNING_WAISTS = 5.0
 # smallest absolute tolerance: atol = 0 hangs DOP853 on state components
 # that stay exactly zero (0/0 error ratios); 1e-100 ends cleanly
 MIN_ATOL = 1e-100
+DEFAULT_SAMPLES = 4097   # integrate_full's output samples
 
 
 def solve_ivp(*args, **kwargs):
@@ -97,7 +99,7 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
                    include_radiation_pressure: bool = True,
                    force_model: str = "exact_log",
                    rtol: float = 1e-10, atol: float = 1e-16,
-                   samples: int = 4097) -> TrajectoryRecord:
+                   samples: int = DEFAULT_SAMPLES) -> TrajectoryRecord:
     """Integrate M R'' = F(R) in the Gaussian trap.
 
     ``initial`` is a (position, velocity) pair of 3-vectors (metres, m/s,
@@ -294,10 +296,9 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
     positions[:, 0] = xs
     velocities = np.zeros_like(positions)
     velocities[:, 0] = vs
-    # an energy past the float range is inf, refused by the caller
-    with np.errstate(over="ignore"):
-        kin = 0.5 * spec.mass * vs ** 2
-        pot = 0.5 * spec.mass * w0_sq * xs ** 2
+    # an energy past the float range is inf; the CLI refuses the run
+    kin = 0.5 * spec.mass * vs ** 2
+    pot = 0.5 * spec.mass * w0_sq * xs ** 2
     meta = {"integrator": "rk8-fixed", "steps_per_period": steps_per_period,
             "step": h, "drive_ratio": ratio}
     return TrajectoryRecord(times=ts, positions=positions,

@@ -12,11 +12,14 @@ transverse, z axial) is the lab frame.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .constants import CONST
 from .units import TWO_PI
+
+FOCUS = (0.0, 0.0, 0.0)                  # positions are measured from it
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +214,11 @@ class TrapSetup:
         scale = self.ion.effective_dipole_charge / abs(self.ion.valence_electron_charge)
         return scale * self.transition.dipole_moment
 
+    @cached_property
+    def saturation_per_intensity(self) -> float:
+        """s0 / I0 (m^2/W, grad s = (s0/I0) grad I), kept once computed."""
+        return saturation_at(self, FOCUS) / self.beam.focus_intensity
+
 
 def setup_from_beam(ion: IonSpecies, beam: LaserBeam, linewidth: float,
                     static_curvatures=(0.0, 0.0, 0.0),
@@ -288,3 +296,11 @@ def rabi_frequency_at(setup: TrapSetup, position):
     """
     amps = field_amplitudes_at(setup, position)
     return setup.effective_dipole_moment * amps.electric / CONST.hbar
+
+
+def saturation_at(setup: TrapSetup, position):
+    """Saturation parameter s(R) = (Omega^2/2) / (delta^2 + Gamma^2/4)."""
+    omega = rabi_frequency_at(setup, position)
+    delta = setup.beam.detuning
+    gamma = setup.transition.linewidth
+    return 0.5 * omega ** 2 / (delta ** 2 + 0.25 * gamma ** 2)

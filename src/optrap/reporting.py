@@ -8,7 +8,7 @@ reference orders are fixed comparison anchors; they are not recomputed
 for other configurations.
 """
 
-from .errors import AnticonfinedAxis, PhysicsError
+from .errors import PhysicsError
 from .config import ParsedConfig
 from .charge_corrections import corrections_table
 from .dipole_trap import trap_summary
@@ -66,20 +66,16 @@ def build_report(parsed: ParsedConfig) -> dict:
 
     mathieu_rows = []
     for axis in range(3):
-        row = {"axis": AXIS_NAMES[axis]}
-        try:
+        row = {"axis": AXIS_NAMES[axis],
+               "anticonfined": axis in summary.anticonfined_axes}
+        if not row["anticonfined"]:
             params = optical_mathieu_params(setup, axis)
-        except AnticonfinedAxis:
-            row["anticonfined"] = True
-            mathieu_rows.append(row)
-            continue
-        row.update({
-            "anticonfined": False,
-            "a": params.a,
-            "q": params.q,
-            "drive_rad_s": params.drive_angular_frequency,
-            "micromotion_ratio": micromotion_ratio_optical(setup, axis),
-        })
+            row.update({
+                "a": params.a,
+                "q": params.q,
+                "drive_rad_s": params.drive_angular_frequency,
+                "micromotion_ratio": micromotion_ratio_optical(setup, axis),
+            })
         mathieu_rows.append(row)
 
     report = {

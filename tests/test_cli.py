@@ -620,3 +620,53 @@ def test_driven_overflow_prints_only_its_exit_line(tmp_path, mg24_config):
     assert proc.stderr == ("physics error: the trajectory leaves the float "
                            "range\n")
     assert not out.exists()
+
+
+# a refused command prints its one error line and none of the warnings
+# raised on the way to it
+@pytest.mark.parametrize("args,error", [
+    pytest.param(["report", "{config}"],
+                 "physics error: laser.depth_mK is too large: the trap depth "
+                 "overflows\n", id="report-depth-overflow"),
+    pytest.param(["stability", str(MG24), "--a=1e200:1e200:1", "--q=0:0:1",
+                  "--steps", "1"],
+                 "physics error: monodromy matrix overflows: |a| or |q| is "
+                 "too large to integrate over one period\n",
+                 id="stability-overflow"),
+])
+def test_refused_command_prints_one_line(tmp_path, mg24_config, args, error):
+    mg24_config["transition"]["wavelength_nm"] = 1e-30
+    mg24_config["laser"]["depth_mK"] = 1e300
+    config = str(write_config(tmp_path, mg24_config))
+    out = tmp_path / "out"
+    proc = _run_cli_process(tmp_path, "-m", "optrap.cli",
+                            *[arg.format(config=config) for arg in args],
+                            "--out-dir", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples,aliased", [(3, True), (4097, False)])
+def test_aliased_samples_warn_in_one_line(tmp_path, capsys, mg24_config,
+                                          samples, aliased):
+    from optrap.dynamics import integrate_full
+    # mg24's radial frequency is 1.189e6 rad/s: pi/omega = 2.64e-6 s, so
+    # 3 samples over 1e-5 s alias it and 4097 do not
+    mg24_config["simulate"]["t_end_s"] = 1e-5
+    _full(mg24_config, samples=samples)
+    config = write_config(tmp_path, mg24_config)
+    assert main(["simulate", str(config), "--out-dir", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    if aliased:
+        assert err.startswith("warning: FrequencyRangeWarning: "
+                              "simulate.options.samples: 3 samples")
+        assert err.count("\n") == 1 and "aliased" in err
+    else:
+        assert err == ""
+    # the warning changes no output byte
+    parsed = parse_config(mg24_config)
+    sim = parsed.simulate
+    record = integrate_full(parsed.setup, sim["initial"], 1e-5,
+                            **sim["options"])
+    assert (tmp_path / "trajectory.csv").read_text() == record.to_csv_text()

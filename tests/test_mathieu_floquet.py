@@ -11,6 +11,11 @@ Independent oracles used here:
   the micromotion amplitude ratio.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -109,6 +114,57 @@ def test_static_field_enters_a_only(mg_setup):
     assert biased.a - plain.a == pytest.approx(curv / omega_l ** 2, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("ignore::optrap.errors.SaturationValidityWarning")
+def test_confinement_rule_is_the_summary_rule():
+    # a beam 1e10 times the reference power (|q| ~ 2e-10) and a static
+    # field just past cancelling it on x: omega_opt^2 + omega_s^2 < 0 while
+    # the Mathieu test a + q^2/2 > 0 alone would call the axis confining
+    power = 1e10 * make_reference_setup().beam.power
+    w_sq = trap_summary(make_reference_setup(power=power)
+                        ).optical_trap_frequencies[0] ** 2
+    setup = make_reference_setup(power=power,
+                                 static=(-w_sq * (1.0 + 1e-11), 0.0, 0.0))
+    omega_l = setup.beam.omega_laser
+    a = (w_sq + setup.static_curvatures[0]) / omega_l ** 2
+    q = -w_sq / (2.0 * omega_l ** 2)
+    assert a < 0.0 < a + 0.5 * q * q
+    anticonfined = trap_summary(setup).anticonfined_axes
+    assert anticonfined == (0,)
+    for axis in range(3):
+        if axis in anticonfined:
+            with pytest.raises(AnticonfinedAxis):
+                optical_mathieu_params(setup, axis)
+        else:
+            assert optical_mathieu_params(setup, axis).a > 0
+
+
+@pytest.mark.filterwarnings("ignore::optrap.errors.SaturationValidityWarning")
+def test_confinement_rule_over_seeded_setups():
+    # oracle: the axis's optical omega^2 from U0 and the beam geometry,
+    # plus a static curvature drawn as r times it; anticonfined iff r < -1
+    from optrap.constants import CONST
+    rng = np.random.default_rng(13)
+    reference = make_reference_setup()
+    for _ in range(40):
+        power = reference.beam.power * 10 ** rng.uniform(-3, 3)
+        plain = make_reference_setup(power=power)
+        u0 = CONST.kB * 50e-3 * power / reference.beam.power
+        mass = plain.ion.total_mass
+        optical = (4 * u0 / (mass * plain.beam.waist_radius ** 2),) * 2 + (
+            2 * u0 / (mass * plain.beam.rayleigh_range ** 2),)
+        ratios = rng.choice([-1.0, 1.0], 3) * 10 ** rng.uniform(-1, 1, 3)
+        setup = make_reference_setup(
+            power=power, static=tuple(r * w for r, w in zip(ratios, optical)))
+        expected = tuple(i for i in range(3) if ratios[i] < -1.0)
+        assert trap_summary(setup).anticonfined_axes == expected
+        for axis in range(3):
+            if axis in expected:
+                with pytest.raises(AnticonfinedAxis):
+                    optical_mathieu_params(setup, axis)
+            else:
+                optical_mathieu_params(setup, axis)
+
+
 def test_anticonfined_axis_raises():
     axial = trap_summary(make_reference_setup()).optical_trap_frequencies[2]
     setup = make_reference_setup(static=(0.0, 0.0, -(2 * axial) ** 2))
@@ -164,6 +220,45 @@ def test_default_steps_hold_across_a_wide_domain():
         assert ours[0, 0] == ours[1, 1]
         det = ours[0, 0] * ours[1, 1] - ours[0, 1] * ours[1, 0]
         assert abs(det - 1.0) <= 1e-12 * max(ours[0, 0] ** 2, 1.0)
+
+
+@pytest.mark.parametrize("nu", [1 - 10.0 ** -k for k in range(3, 8)]
+                         + [10.0 ** -k for k in range(3, 7)])
+def test_exponent_at_the_band_edges_of_the_q_axis(nu):
+    # q = 0, a = nu^2: x'' + nu^2 x = 0 has the exact exponent nu; near
+    # nu = 0 and 1 the trace is 2 cos(nu pi) ~ +-2, where arccos of it
+    # loses about half the digits and arg(d + sqrt(bc)) loses none
+    res = monodromy_stability((nu * nu, 0.0))
+    assert res.stable
+    assert abs(res.characteristic_exponent - nu) <= 1e-13
+
+
+def test_multipliers_match_the_eigenvalue_oracle():
+    rng = np.random.default_rng(31)
+    kinds = set()
+    for _ in range(60):
+        a = rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 4)
+        q = rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 3)
+        res = monodromy_stability((a, q))
+        kinds.add(res.stable)
+        ours = np.sort_complex(np.array(res.floquet_multipliers))
+        oracle = np.sort_complex(np.linalg.eigvals(res.monodromy_matrix))
+        scale = np.max(np.abs(res.monodromy_matrix))
+        assert np.max(np.abs(ours - oracle)) <= 1e-15 * scale
+    assert kinds == {True, False}
+
+
+def test_stability_prints_nothing_on_stderr(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "optrap.cli", "stability",
+         str(repo / "demos" / "mg24.json"), "--a=0:1:0.25", "--q=0:0.5:0.25",
+         "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_harmonic_case_quarter_rotation():
