@@ -6,13 +6,15 @@ MHz), at a trap depth of kB x 50 mK.  This script builds the setup and
 prints the quantities a trap designer reaches for first.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from optrap import (CONST, field_amplitudes_at, mean_force_at,
-                    rabi_frequency_at, trap_summary)
+from optrap import (CONST, equilibrium_shift, field_amplitudes_at,
+                    mean_force_at, rabi_frequency_at, trap_summary)
 from optrap.config import load_config
-
-FOCUS = (0.0, 0.0, 0.0)
+from optrap.errors import NoRoot
+from optrap.model import FOCUS
 
 parsed = load_config("demos/mg24.json")
 setup = parsed.setup
@@ -46,7 +48,16 @@ force = mean_force_at(setup, (0.0, 0.0, 0.1 * beam.rayleigh_range))
 print("\nmean force 0.1 zR downstream of the focus")
 print(f"  dipolar (restoring) {force.dipolar[2]:+.3e} N")
 print(f"  radiation pressure  {force.radiation_pressure[2]:+.3e} N")
-print("  (radiation pressure overwhelms the weak optical axial restoring "
-      "force for this trap;")
-print("   a static curvature along z is what holds the ion on axis in "
-      "practice)")
+
+print("\naxial equilibrium under radiation pressure")
+try:
+    equilibrium_shift(setup)
+except NoRoot:
+    print("  optical trap alone: none within one Rayleigh range (radiation "
+          "pressure")
+    print("  overwhelms the weak optical axial restoring force)")
+# a static curvature along z is what holds the ion on axis in practice
+held = replace(setup, static_curvatures=(0.0, 0.0, (2 * np.pi * 100e3) ** 2))
+shift = equilibrium_shift(held)
+print(f"  with a static axial curvature (2pi x 100 kHz)^2: {shift:.2e} m "
+      f"downstream ({shift / beam.rayleigh_range:.1e} zR)")

@@ -17,8 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError, FrequencyRangeWarning
 from .model import IonSpecies, LaserBeam, TrapSetup, setup_from_beam
-from .dipole_trap import (FOCUS, FORCE_MODELS, effective_potential_at,
-                          power_for_depth, secular_curvatures)
+from .dipole_trap import FORCE_MODELS, power_for_depth, secular_curvatures
 from .dynamics import DEFAULT_SAMPLES, MIN_ATOL, driven_steps
 from .mathieu_floquet import grid_count
 from . import units
@@ -351,8 +350,7 @@ def check_full_span(setup: TrapSetup, t_end: float,
     pi/omega or more apart).  Without one (an unconfined ion escapes) or
     past the float range, the run's physics checks decide.  Only `trap
     simulate` runs it: a report on the same trap stays valid."""
-    depth = -effective_potential_at(setup, FOCUS)
-    omega_sq = max(secular_curvatures(setup, depth))
+    omega_sq = max(secular_curvatures(setup))
     if 0.0 < omega_sq < math.inf:
         omega = math.sqrt(omega_sq)
         periods = t_end * omega / (2.0 * math.pi)

@@ -13,10 +13,9 @@ harmonic frequencies reported here are based on; the log form
 (hbar delta / 2) ln(1 + s) is the exact antiderivative of the dipolar term
 and is available as a separate mode.
 
-s is proportional to the intensity, so grad s = (s0 / I0) grad I with the
-focus values s0 and I0.  That scale depends on the setup only; the setup
-keeps it (:attr:`~optrap.model.TrapSetup.saturation_per_intensity`,
-computed on first use), and every force evaluation on it reuses it.
+s is proportional to the intensity, so the focus saturation s0 that the
+setup keeps (:attr:`~optrap.model.TrapSetup.saturation_at_focus`) gives
+the depth, the optical curvatures and the force scale grad s = (s0/I0) grad I.
 """
 
 import warnings
@@ -51,33 +50,38 @@ def effective_potential_at(setup: TrapSetup, position, mode: str = "low_sat"):
 
 
 def trap_depth(setup: TrapSetup) -> float:
-    """U0 = |V_eff(focus)| of the low-saturation potential, J; every ratio
-    to U0 uses it.  Exactly linear in the beam power."""
-    return abs(effective_potential_at(setup, FOCUS, mode="low_sat"))
+    """U0 = |V_eff(focus)| = |hbar delta / 2| s0 of the low-saturation
+    potential, J; every ratio to U0 uses it.  Exactly linear in power."""
+    s0 = setup.saturation_at_focus
+    return abs(0.5 * CONST.hbar * setup.beam.detuning * s0)
 
 
-def optical_curvatures(setup: TrapSetup, depth: float) -> tuple:
+def optical_curvatures(setup: TrapSetup) -> tuple:
     """Optical omega^2 per beam-frame axis at the focus, (rad/s)^2, for the
     signed depth U = -V_eff(focus): 4 U / (M w0^2) transversally and
-    2 U / (M zR^2) axially (U0 for a red beam; a blue one's U < 0)."""
+    2 U / (M zR^2) axially (U = U0 for a red beam, -U0 for a blue one)."""
+    depth = np.copysign(trap_depth(setup), -setup.beam.detuning)
     mass = setup.ion.total_mass
     radial = 4.0 * depth / (mass * setup.beam.waist_radius ** 2)
     return radial, radial, 2.0 * depth / (mass * setup.beam.rayleigh_range ** 2)
 
 
-def secular_curvatures(setup: TrapSetup, depth: float) -> tuple:
+def secular_curvatures(setup: TrapSetup) -> tuple:
     """omega_opt^2 + omega_s^2 per beam-frame axis, (rad/s)^2: the optical
-    curvature of the signed depth plus the static one.  The one
-    confinement rule: an axis is anticonfined iff its value is negative."""
+    curvature plus the static one.  The one confinement rule: an axis is
+    anticonfined iff its value is negative."""
     return tuple(w_sq + curv for w_sq, curv in zip(
-        optical_curvatures(setup, depth), setup.static_curvatures))
+        optical_curvatures(setup), setup.static_curvatures))
 
 
 def _dipole_force(setup: TrapSetup, position, s):
     """-grad (hbar delta / 2) ln(1 + s) at ``position``, given s there;
-    s = 0 drops the 1/(1 + s), giving -grad (hbar delta / 2) s."""
-    grad_s = setup.saturation_per_intensity * intensity_gradient_at(
-        setup.beam, position)
+    s = 0 drops the 1/(1 + s), giving -grad (hbar delta / 2) s.  A dark
+    beam (I0 = 0) exerts none: its s0/I0 counts as 0."""
+    focus_intensity = setup.beam.focus_intensity
+    scale = (setup.saturation_at_focus / focus_intensity
+             if focus_intensity else 0.0)
+    grad_s = scale * intensity_gradient_at(setup.beam, position)
     half = 0.5 * CONST.hbar * setup.beam.detuning
     return -half / np.expand_dims(1.0 + s, -1) * grad_s
 
@@ -178,16 +182,15 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
             "trap summary requires red detuning (delta < 0); got "
             f"delta = {setup.beam.detuning:g} rad/s")
     depth = trap_depth(setup)
-    optical = tuple(float(np.sqrt(w_sq))
-                    for w_sq in optical_curvatures(setup, depth))
-    total_sq = secular_curvatures(setup, depth)
+    optical = tuple(float(np.sqrt(w_sq)) for w_sq in optical_curvatures(setup))
+    total_sq = secular_curvatures(setup)
     anticonfined = tuple(i for i, w_sq in enumerate(total_sq) if w_sq < 0)
     combined = tuple(float("nan") if w_sq < 0 else float(np.sqrt(w_sq))
                      for w_sq in total_sq)
     omega0 = max((w for w in combined if np.isfinite(w)), default=float("nan"))
 
     e_rec = recoil_energy(setup)
-    s0 = saturation_at(setup, FOCUS)
+    s0 = setup.saturation_at_focus
     scales = [
         ("omega0", omega0),
         ("recoil", e_rec / CONST.hbar),

@@ -8,10 +8,10 @@ Two deliberately separate integrations:
   analysis rests on).  scipy's DOP853, the adaptive 8th-order
   Dormand-Prince pair (Hairer, Norsett & Wanner, *Solving ODEs I*).  What
   does not change along the trajectory is computed once: the static
-  curvatures' stiffness per run, and the saturation per unit intensity
-  s0/I0 once per setup (kept by the setup,
-  :attr:`~optrap.model.TrapSetup.saturation_per_intensity`).  Each
-  right-hand-side evaluation calls the public force functions.
+  curvatures' stiffness per run, and the focus saturation s0 once per
+  setup (:attr:`~optrap.model.TrapSetup.saturation_at_focus`), which sets
+  the force scale s0/I0.  Each right-hand-side evaluation calls the
+  public force functions.
 
 * :func:`integrate_driven` solves the charge-monopole driven harmonic
   oscillator M x'' = Q E cos(w_d t) - M w0^2 x with the fixed-step RK8

@@ -39,7 +39,7 @@ from . import dipole_trap
 STIFFNESS_THRESHOLD = 1e-14
 STEPS_PER_RATE = 40    # default half-period RK8 steps per unit local rate
 MAX_HALF_STEPS = 2 ** 16
-HILL_ORDER = 25        # Hill's recursion keeps the harmonics |n| <= 25
+HILL_ORDER = 25        # harmonics Hill's recursion keeps beyond the dominant one
 
 AXIS_NAMES = ("x", "y", "z")      # beam frame: transverse, transverse, axial
 
@@ -76,7 +76,8 @@ class FloquetResult:
     stable: bool                       # |trace| < 2
     characteristic_exponent: float     # nu: multipliers exp(+-i nu pi) if stable,
     #                                    else ln|lambda_max|/pi (growth rate)
-    micromotion_ratio: float           # (|c_+1| + |c_-1|) / |c_0|, NaN if unstable
+    micromotion_ratio: float           # (|c_k+1| + |c_k-1|) / |c_k| about the
+    #                                    dominant harmonic k, NaN if unstable
     from_analytic_law: bool = False    # small-parameter law used instead of Fourier
 
 
@@ -186,23 +187,26 @@ def floquet_eigenfunction_spectrum(a: float, q: float,
     """Characteristic exponent and Fourier coefficients of the stable mode.
 
     Returns (nu, coeffs) where the Floquet solution is
-    x(tau) = exp(i nu tau) sum_n c_n exp(2 i n tau), nu from the monodromy
-    matrix.  The c_n, |n| <= ``HILL_ORDER``, are the null vector of Hill's
-    recursion (a - (nu + 2n)^2) c_n - q (c_{n-1} + c_{n+1}) = 0
-    (McLachlan, *Theory and Application of Mathieu Functions*): the matrix
-    is symmetric, so that is its eigenvector of the eigenvalue nearest
-    zero.  Returned in DFT order (c_n at index n modulo the length).
-    Needs a stable (a, q) pair.
+    x(tau) = exp(i nu tau) sum_n c_n exp(2 i n tau), nu in [0, 1] from the
+    monodromy matrix.  The c_n are the null vector of Hill's recursion
+    (a - (nu + 2n)^2) c_n - q (c_{n-1} + c_{n+1}) = 0 (McLachlan, *Theory
+    and Application of Mathieu Functions*): the matrix is symmetric, so
+    that is its eigenvector of the eigenvalue nearest zero.  The dominant
+    harmonic sits near |nu + 2n| = sqrt(a), not at n = 0 once sqrt(a) >~ 1,
+    so the window |n| <= ``HILL_ORDER`` + ceil(sqrt(|a| + 2|q|) / 2) keeps
+    ``HILL_ORDER`` harmonics beyond it.  Returned in DFT order (c_n at
+    index n modulo the length).  Needs a stable (a, q) pair.
     """
     stable, nu, _ = _floquet(mathieu_monodromy(a, q, steps=steps))
     if not stable:
         raise ValueError("Fourier extraction needs a stable Mathieu solution")
-    n = np.arange(-HILL_ORDER, HILL_ORDER + 1)
+    order = HILL_ORDER + math.ceil(math.sqrt(abs(a) + 2.0 * abs(q)) / 2.0)
+    n = np.arange(-order, order + 1)
     hill = np.diag(a - (nu + 2.0 * n) ** 2) \
         - q * (np.eye(n.size, k=1) + np.eye(n.size, k=-1))
     evals, evecs = np.linalg.eigh(hill)
     null = evecs[:, np.argmin(np.abs(evals))]
-    return float(nu), np.roll(null, -HILL_ORDER)
+    return float(nu), np.roll(null, -order)
 
 
 def monodromy_stability(params, steps: int = None) -> FloquetResult:
@@ -214,7 +218,10 @@ def monodromy_stability(params, steps: int = None) -> FloquetResult:
     is d^2 - bc) on 300 points for each of the seeds 0, 1 and 42 with
     |a|, |q| <= 2 uniform.  Below the stiffness threshold the
     analytic small-parameter laws replace the numerical path (flagged with
-    ``from_analytic_law`` and a :class:`StiffnessWarning`).
+    ``from_analytic_law`` and a :class:`StiffnessWarning`).  The
+    micromotion ratio is (|c_k+1| + |c_k-1|) / |c_k| about the dominant
+    harmonic k = argmax |c_n| of :func:`floquet_eigenfunction_spectrum`;
+    k = 0 near the origin of the first stable band.
     """
     if isinstance(params, MathieuParams):
         a, q = params.a, params.q
@@ -241,7 +248,9 @@ def monodromy_stability(params, steps: int = None) -> FloquetResult:
         stable, exponent, mults = _floquet(mono)
         if stable:
             _, coeffs = floquet_eigenfunction_spectrum(a, q, steps=steps)
-            ratio = float((abs(coeffs[1]) + abs(coeffs[-1])) / abs(coeffs[0]))
+            k = int(np.argmax(np.abs(coeffs)))
+            ratio = float((abs(coeffs[(k + 1) % coeffs.size])
+                           + abs(coeffs[k - 1])) / abs(coeffs[k]))
     return FloquetResult(monodromy_matrix=mono,
                          floquet_multipliers=tuple(map(complex, mults)),
                          stable=bool(stable),

@@ -215,9 +215,10 @@ class TrapSetup:
         return scale * self.transition.dipole_moment
 
     @cached_property
-    def saturation_per_intensity(self) -> float:
-        """s0 / I0 (m^2/W, grad s = (s0/I0) grad I), kept once computed."""
-        return saturation_at(self, FOCUS) / self.beam.focus_intensity
+    def saturation_at_focus(self) -> float:
+        """s0 = s(focus), kept once computed; the depth, the optical
+        curvatures and s0/I0 all follow from it."""
+        return saturation_at(self, FOCUS)
 
 
 def setup_from_beam(ion: IonSpecies, beam: LaserBeam, linewidth: float,
@@ -235,32 +236,31 @@ def setup_from_beam(ion: IonSpecies, beam: LaserBeam, linewidth: float,
 # beam geometry and fields
 # ---------------------------------------------------------------------------
 
+def _gaussian_profile(beam: LaserBeam, pos):
+    """(z, r^2, w(z)^2, I) of the TEM00 profile at the float array ``pos``,
+    r^2 = x^2 + y^2."""
+    z = pos[..., 2]
+    r2 = pos[..., 0] ** 2 + pos[..., 1] ** 2
+    w2 = beam.waist_radius ** 2 * (1.0 + (z / beam.rayleigh_range) ** 2)
+    return z, r2, w2, 2.0 * beam.power / (np.pi * w2) * np.exp(-2.0 * r2 / w2)
+
+
 def intensity_at(beam: LaserBeam, position):
     """TEM00 intensity I(r, z) = 2P/(pi w(z)^2) exp(-2 r^2/w(z)^2), W/m^2.
 
     ``position`` is measured from the focus; accepts shape (3,) or (..., 3).
     """
-    pos = np.asarray(position, dtype=float)
-    z = pos[..., 2]
-    r2 = np.maximum(np.sum(pos * pos, axis=-1) - z * z, 0.0)
-    zr = beam.rayleigh_range
-    w2 = beam.waist_radius ** 2 * (1.0 + (z / zr) ** 2)
-    return 2.0 * beam.power / (np.pi * w2) * np.exp(-2.0 * r2 / w2)
+    return _gaussian_profile(beam, np.asarray(position, dtype=float))[3]
 
 
 def intensity_gradient_at(beam: LaserBeam, position):
     """Analytic gradient of :func:`intensity_at`, shape (..., 3), W/m^3."""
     pos = np.asarray(position, dtype=float)
-    z = pos[..., 2]
-    r_vec = pos * (1.0, 1.0, 0.0)
-    r2 = np.sum(r_vec * r_vec, axis=-1)
-    zr = beam.rayleigh_range
-    w0sq = beam.waist_radius ** 2
-    w2 = w0sq * (1.0 + (z / zr) ** 2)
-    inten = 2.0 * beam.power / (np.pi * w2) * np.exp(-2.0 * r2 / w2)
-    # transverse: dI/dr = -4 r I / w^2; axial via dw^2/dz = 2 w0^2 z / zR^2
-    grad = (-4.0 * inten / w2)[..., np.newaxis] * r_vec
-    dw2 = 2.0 * w0sq * z / zr ** 2
+    z, r2, w2, inten = _gaussian_profile(beam, pos)
+    # transverse: dI/dr = -4 r I / w^2 (the z entry is overwritten below);
+    # axial via dw^2/dz = 2 w0^2 z / zR^2
+    grad = (-4.0 * inten / w2)[..., np.newaxis] * pos
+    dw2 = 2.0 * beam.waist_radius ** 2 * z / beam.rayleigh_range ** 2
     grad[..., 2] = inten * dw2 * (2.0 * r2 - w2) / w2 ** 2
     return grad
 

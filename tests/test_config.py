@@ -8,7 +8,7 @@ import pytest
 
 from optrap.config import load_config, parse_config
 from optrap.constants import CONST
-from optrap.errors import ConfigError
+from optrap.errors import ConfigError, FrequencyRangeWarning
 
 BASE = {
     "ion": {"mass_u": 24.0, "charge_e": 1.0},
@@ -126,7 +126,8 @@ def test_full_span_cap_counts_periods_of_the_fastest_secular_frequency():
     omega = trap_summary(setup).combined_trap_frequencies[2]
     assert omega > 5 * trap_summary(parse_config(BASE).setup).omega0
     longest = MAX_FULL_PERIODS * 2 * np.pi / omega
-    check_full_span(setup, 0.99 * longest)
+    with pytest.warns(FrequencyRangeWarning, match="aliased"):
+        check_full_span(setup, 0.99 * longest)
     with pytest.raises(ConfigError, match="simulate.t_end_s"):
         check_full_span(setup, 1.01 * longest)
 

@@ -1,5 +1,9 @@
 """Saturation, potentials, mean force, scattering, trap summary."""
 
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -336,3 +340,62 @@ def test_saturation_scale_does_not_leak_across_setups():
             for mode in ("low_sat", "exact_log"):
                 assert np.array_equal(dipole_force_at(setup, pos, mode=mode),
                                       fresh(setup, pos, mode))
+
+
+def test_dark_beam_exerts_no_force():
+    # a dark beam has s0 = I0 = 0; its s0/I0 counts as 0, not 0/0
+    dark = make_reference_setup(power=0.0)
+    pts = np.array([FOCUS, (1e-6, -2e-6, 3e-5), (0.0, 0.0, -1e-4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("low_sat", "exact_log"):
+            assert np.all(dipole_force_at(dark, pts, mode=mode) == 0.0)
+        assert np.all(mean_force_at(dark, pts).total == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the focus field chain runs once per setup
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def field_calls(monkeypatch):
+    """Counts model.field_amplitudes_at calls through every optrap module
+    attribute that holds it."""
+    from optrap import model
+    original = model.field_amplitudes_at
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "optrap":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_focus_quantities_reuse_the_kept_saturation(field_calls):
+    from optrap import trap_depth
+    from optrap.dipole_trap import secular_curvatures
+    from optrap.config import check_full_span
+    setup = make_reference_setup(static=(0.0, 0.0, (2 * np.pi * 1e5) ** 2))
+    trap_summary(setup)
+    field_calls.clear()
+    trap_depth(setup)
+    secular_curvatures(setup)
+    check_full_span(setup, 1e-3)
+    assert len(field_calls) == 0
+    trap_summary(setup)                 # its Rabi frequency only
+    assert len(field_calls) == 1
+
+
+def test_report_runs_the_field_chain_at_most_13_times(field_calls):
+    from optrap.config import load_config
+    from optrap.reporting import build_report
+    parsed = load_config(Path(__file__).resolve().parent.parent
+                         / "demos" / "mg24.json")
+    field_calls.clear()
+    build_report(parsed)
+    assert len(field_calls) <= 13

@@ -125,6 +125,17 @@ def test_initial_condition_warning(mg_setup):
                        1e-6, include_radiation_pressure=False, samples=11)
 
 
+def test_dark_beam_leaves_the_static_oscillator():
+    # with no light only the static curvatures act: x0 cos(omega t)
+    omega = 2 * np.pi * 100e3
+    setup = make_reference_setup(power=0.0, static=(omega ** 2,) * 3)
+    x0 = 1e-7
+    rec = integrate_full(setup, ((x0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                         20 * 2 * np.pi / omega)
+    exact = x0 * np.cos(omega * rec.times)
+    assert np.max(np.abs(rec.positions[:, 0] - exact)) <= 1e-8 * x0
+
+
 def test_trajectory_record_validation(mg_setup):
     record = integrate_full(mg_setup, ((0.01 * WAIST, 0, 0), (0, 0, 0)),
                             1e-5, include_radiation_pressure=False,

@@ -14,6 +14,7 @@ Independent oracles used here:
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -549,3 +550,41 @@ def test_overflowing_monodromy_is_a_physics_error(a, q):
             stability_scan((a, a), (q, q), 1.0, steps=1)
         with pytest.raises(PhysicsError, match="overflows"):
             monodromy_stability((a, q), steps=1)
+
+
+def test_micromotion_ratio_about_the_dominant_harmonic():
+    # sqrt(a) = 43.5 puts the secular harmonic at n = -22, not n = 0;
+    # about it, first order in q gives |q| (1/(4 sqrt a + 4) + 1/(4 sqrt a - 4))
+    a, q = 1896.3, -0.0209
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratio = monodromy_stability((a, q)).micromotion_ratio
+    root = np.sqrt(a)
+    assert ratio == pytest.approx(2.400998e-4, rel=1e-6)
+    assert ratio == pytest.approx(
+        abs(q) * (1 / (4 * root + 4) + 1 / (4 * root - 4)), rel=1e-6)
+
+
+@pytest.mark.parametrize("a,q,ratio", [(100.0, 5.0, 0.2547), (3.0, 1.0, 0.397)])
+def test_micromotion_ratio_is_not_taken_about_c0(a, q, ratio):
+    # here c_0 is not the largest coefficient: about it the ratio would
+    # read 20.0 and 3.74
+    res = monodromy_stability((a, q))
+    assert res.micromotion_ratio == pytest.approx(ratio, abs=1e-3 * ratio)
+
+
+@pytest.mark.parametrize("a,q", [(100.0, 5.0), (4155.8, -6.04)])
+def test_dominant_harmonic_ratio_is_converged_in_hills_window(
+        monkeypatch, a, q):
+    # doubling the window |n| <= HILL_ORDER + ceil(sqrt(|a| + 2|q|) / 2)
+    # leaves the ratio unchanged; at (4155.8, -6.04) the dominant harmonic
+    # is |n| = 32, outside a fixed |n| <= 25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratio = monodromy_stability((a, q)).micromotion_ratio
+        extra = int(np.ceil(np.sqrt(abs(a) + 2 * abs(q)) / 2))
+        monkeypatch.setattr("optrap.mathieu_floquet.HILL_ORDER",
+                            2 * HILL_ORDER + extra)
+        wide = monodromy_stability((a, q)).micromotion_ratio
+    assert np.isfinite(ratio)
+    assert ratio == pytest.approx(wide, rel=1e-12)
