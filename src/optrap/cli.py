@@ -30,7 +30,7 @@ from .config import (block_range, check_full_span, check_scan, check_steps,
                      load_config, range_flag)
 from .dynamics import (DEFAULT_SAMPLES, DrivenOscillatorSpec,
                        dominant_frequency, integrate_driven, integrate_full)
-from .errors import ConfigError, PhysicsError
+from .errors import ConfigError, FrequencyRangeWarning, PhysicsError
 from .mathieu_floquet import stability_scan
 from .reporting import build_report, render_text
 from .units import format_sig
@@ -122,6 +122,9 @@ def run_simulate(args) -> int:
             record.positions, record.velocities, record.total_energy)):
         raise PhysicsError("the trajectory leaves the float range")
     freq = dominant_frequency(record.times, record.positions[:, 0])
+    if np.isnan(freq):
+        warnings.warn("x(t) does not move: the dominant frequency of the x "
+                      "component is nan", FrequencyRangeWarning)
     out = _out_dir(args)
     _atomic_write(out / "trajectory.csv", record.to_csv_text())
     print(f"final_total_energy_J={format_sig(record.total_energy[-1], 12)} "

@@ -83,7 +83,7 @@ def _dipole_force(setup: TrapSetup, position, s):
              if focus_intensity else 0.0)
     grad_s = scale * intensity_gradient_at(setup.beam, position)
     half = 0.5 * CONST.hbar * setup.beam.detuning
-    return -half / np.expand_dims(1.0 + s, -1) * grad_s
+    return (-half / np.asarray(1.0 + s))[..., np.newaxis] * grad_s
 
 
 def dipole_force_at(setup: TrapSetup, position, mode: str = "exact_log"):

@@ -20,6 +20,10 @@ Two deliberately separate integrations:
   ratio (~1e10) is validated through the analytic steady state and its
   (w0/w_d)^2 scaling law, not by direct integration.
 
+Trajectory CSV cells are "%.12g" (``format_sig(x, 12)``) of Python floats
+from ``tolist()``, one block of ``CSV_BLOCK_ROWS`` rows at a time, so that
+the table never exists whole, as Python floats or as one array.
+
 Radiation pressure shifts the axial equilibrium away from the focus;
 :func:`equilibrium_shift` locates that equilibrium by a bracketed
 bisection of the total axial force (dipole + radiation pressure + static
@@ -45,6 +49,7 @@ INITIAL_WARNING_WAISTS = 5.0
 # that stay exactly zero (0/0 error ratios); 1e-100 ends cleanly
 MIN_ATOL = 1e-100
 DEFAULT_SAMPLES = 4097   # integrate_full's output samples
+CSV_BLOCK_ROWS = 512     # trajectory CSV rows formatted per block
 
 
 def solve_ivp(*args, **kwargs):
@@ -80,14 +85,17 @@ class TrajectoryRecord:
         return self.kinetic_energy + self.potential_energy
 
     def to_csv_text(self) -> str:
-        # one format string per row; "%.12g" % x == format_sig(x, 12)
+        columns = (self.times, self.positions, self.velocities,
+                   self.kinetic_energy, self.potential_energy,
+                   self.total_energy)
         row_format = ",".join(["%.12g"] * 10)
-        lines = ["t,x,y,z,vx,vy,vz,E_kin,E_pot,E_tot"]
-        for t, pos, vel, kin, pot, tot in zip(
-                self.times, self.positions, self.velocities,
-                self.kinetic_energy, self.potential_energy, self.total_energy):
-            lines.append(row_format % (t, *pos, *vel, kin, pot, tot))
-        return "\n".join(lines) + "\n"
+        parts = ["t,x,y,z,vx,vy,vz,E_kin,E_pot,E_tot"]
+        for start in range(0, len(self.times), CSV_BLOCK_ROWS):
+            block = np.column_stack([column[start:start + CSV_BLOCK_ROWS]
+                                     for column in columns])
+            parts.append("\n".join([row_format] * len(block))
+                         % tuple(block.ravel().tolist()))
+        return "\n".join(parts) + "\n"
 
 
 def _static_potential(setup: TrapSetup, positions):
@@ -372,11 +380,13 @@ def dominant_frequency(times, values) -> float:
 
     FFT peak (Hann window) refined by maximising the windowed projection
     amplitude; accurate to ~1e-8 relative for clean tones over hundreds
-    of periods.
+    of periods.  NaN if the signal does not move (all values equal).
     """
     from scipy.optimize import minimize_scalar
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if values.min() == values.max():
+        return float("nan")
     n = len(times)
     dt = times[1] - times[0]
     windowed = (values - values.mean()) * np.hanning(n)

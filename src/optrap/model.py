@@ -9,6 +9,11 @@ Everything in this module is a pure function of immutable inputs and works
 in strict SI units, angular frequencies in rad/s.  Positions are measured
 from the beam focus; the beam propagates along z, so the beam frame (x, y
 transverse, z axial) is the lab frame.
+
+The field chain takes one (3,) point or a (..., 3) batch through one code
+path: ``x, y, z = pos.T`` makes one point run on float64 scalars, not 0-d
+arrays, and squares of point values are products (a scalar's ``** 2`` is
+libm's pow, an array's is x*x), so a point has the bits of its batch row.
 """
 
 from dataclasses import dataclass, replace
@@ -159,12 +164,12 @@ class LaserBeam:
         """k = 2 pi / lambda, 1/m."""
         return TWO_PI / self.wavelength
 
-    @property
+    @cached_property
     def rayleigh_range(self) -> float:
         """zR = pi w0^2 / lambda, m."""
         return np.pi * self.waist_radius ** 2 / self.wavelength
 
-    @property
+    @cached_property
     def focus_intensity(self) -> float:
         """I0 = 2P/(pi w0^2), W/m^2."""
         return 2.0 * self.power / (np.pi * self.waist_radius ** 2)
@@ -208,7 +213,7 @@ class TrapSetup:
             raise ValueError("inconsistent beam/transition: omega_L - omega_eg "
                              f"differs from detuning by {mismatch:g} rad/s")
 
-    @property
+    @cached_property
     def effective_dipole_moment(self) -> float:
         """d_eff = (q_eff/|q_e|) d, C m (charge-corrected dipole coupling)."""
         scale = self.ion.effective_dipole_charge / abs(self.ion.valence_electron_charge)
@@ -236,13 +241,12 @@ def setup_from_beam(ion: IonSpecies, beam: LaserBeam, linewidth: float,
 # beam geometry and fields
 # ---------------------------------------------------------------------------
 
-def _gaussian_profile(beam: LaserBeam, pos):
-    """(z, r^2, w(z)^2, I) of the TEM00 profile at the float array ``pos``,
-    r^2 = x^2 + y^2."""
-    z = pos[..., 2]
-    r2 = pos[..., 0] ** 2 + pos[..., 1] ** 2
-    w2 = beam.waist_radius ** 2 * (1.0 + (z / beam.rayleigh_range) ** 2)
-    return z, r2, w2, 2.0 * beam.power / (np.pi * w2) * np.exp(-2.0 * r2 / w2)
+def _gaussian_profile(beam: LaserBeam, x, y, z):
+    """(r^2, w(z)^2, I) of the TEM00 profile at x, y, z = pos.T."""
+    axial = z / beam.rayleigh_range
+    r2 = x * x + y * y
+    w2 = beam.waist_radius ** 2 * (1.0 + axial * axial)
+    return r2, w2, 2.0 * beam.power / (np.pi * w2) * np.exp(-2.0 * r2 / w2)
 
 
 def intensity_at(beam: LaserBeam, position):
@@ -250,18 +254,21 @@ def intensity_at(beam: LaserBeam, position):
 
     ``position`` is measured from the focus; accepts shape (3,) or (..., 3).
     """
-    return _gaussian_profile(beam, np.asarray(position, dtype=float))[3]
+    return _gaussian_profile(beam, *np.asarray(position, dtype=float).T)[2].T
 
 
 def intensity_gradient_at(beam: LaserBeam, position):
     """Analytic gradient of :func:`intensity_at`, shape (..., 3), W/m^3."""
     pos = np.asarray(position, dtype=float)
-    z, r2, w2, inten = _gaussian_profile(beam, pos)
-    # transverse: dI/dr = -4 r I / w^2 (the z entry is overwritten below);
-    # axial via dw^2/dz = 2 w0^2 z / zR^2
-    grad = (-4.0 * inten / w2)[..., np.newaxis] * pos
+    x, y, z = pos.T
+    r2, w2, inten = _gaussian_profile(beam, x, y, z)
+    # transverse: dI/dr = -4 r I / w^2; axial via dw^2/dz = 2 w0^2 z / zR^2
+    radial = -4.0 * inten / w2
     dw2 = 2.0 * beam.waist_radius ** 2 * z / beam.rayleigh_range ** 2
-    grad[..., 2] = inten * dw2 * (2.0 * r2 - w2) / w2 ** 2
+    grad = np.empty(pos.shape)
+    grad[..., 0] = (radial * x).T
+    grad[..., 1] = (radial * y).T
+    grad[..., 2] = (inten * dw2 * (2.0 * r2 - w2) / (w2 * w2)).T
     return grad
 
 
@@ -303,4 +310,4 @@ def saturation_at(setup: TrapSetup, position):
     omega = rabi_frequency_at(setup, position)
     delta = setup.beam.detuning
     gamma = setup.transition.linewidth
-    return 0.5 * omega ** 2 / (delta ** 2 + 0.25 * gamma ** 2)
+    return 0.5 * (omega * omega) / (delta ** 2 + 0.25 * gamma ** 2)

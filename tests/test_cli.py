@@ -622,6 +622,25 @@ def test_driven_overflow_prints_only_its_exit_line(tmp_path, mg24_config):
     assert not out.exists()
 
 
+def test_motionless_x_prints_nan_and_one_warning(tmp_path, mg24_config):
+    # at rest at the focus x(t) stays 0: no dominant frequency to print
+    mg24_config["simulate"]["initial"]["position_m"] = [0.0, 0.0, 0.0]
+    mg24_config["simulate"]["t_end_s"] = 5e-6
+    _full(mg24_config, samples=101)
+    config = write_config(tmp_path, mg24_config)
+    out = tmp_path / "out"
+    proc = _run_cli_process(tmp_path, "-m", "optrap.cli", "simulate",
+                            str(config), "--out-dir", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "dominant_frequency_rad_s=nan samples=101" in proc.stdout
+    assert proc.stderr == ("warning: FrequencyRangeWarning: x(t) does not "
+                           "move: the dominant frequency of the x component "
+                           "is nan\n")
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 101
+    assert all(row.split(",")[1] == "0" for row in rows)
+
+
 # a refused command prints its one error line and none of the warnings
 # raised on the way to it
 @pytest.mark.parametrize("args,error", [

@@ -353,6 +353,35 @@ def test_dark_beam_exerts_no_force():
         assert np.all(mean_force_at(dark, pts).total == 0.0)
 
 
+def test_one_point_and_a_batch_give_the_same_bits(mg_setup):
+    # one code path: each row of an (n, 3) or (a, b, 3) evaluation equals
+    # the evaluation at that point alone, exactly (a float64 scalar's ** 2
+    # is libm's pow, which an array's x*x does not always match)
+    from optrap.model import intensity_at, intensity_gradient_at
+    setup = mg_setup
+    rng = np.random.default_rng(7)
+    scale = np.array([WAIST, WAIST, setup.beam.rayleigh_range])
+    pts = (rng.normal(size=(10_000, 3)) * scale
+           * rng.choice([1e-3, 0.1, 1.0, 3.0], size=(10_000, 1)))
+    pts[:3] = [FOCUS, (-0.0, 0.0, -0.0), (0.0, 0.0, 1e-5)]
+    evaluations = {
+        "intensity": lambda p: intensity_at(setup.beam, p),
+        "gradient": lambda p: intensity_gradient_at(setup.beam, p),
+        "low_sat": lambda p: dipole_force_at(setup, p, mode="low_sat"),
+        "exact_log": lambda p: dipole_force_at(setup, p, mode="exact_log"),
+        "dipolar": lambda p: mean_force_at(setup, p).dipolar,
+        "radiation": lambda p: mean_force_at(setup, p).radiation_pressure,
+    }
+    for name, evaluate in evaluations.items():
+        one = np.array([evaluate(p) for p in pts])
+        batch = evaluate(pts)
+        grid = evaluate(pts.reshape(100, 100, 3))
+        assert batch.shape == one.shape, name
+        assert grid.shape == (100, 100) + one.shape[1:], name
+        assert np.all(batch == one), name
+        assert np.all(grid.reshape(one.shape) == one), name
+
+
 # ---------------------------------------------------------------------------
 # the focus field chain runs once per setup
 # ---------------------------------------------------------------------------

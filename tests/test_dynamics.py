@@ -148,6 +148,50 @@ def test_trajectory_record_validation(mg_setup):
     assert len(lines) == 65
 
 
+def _csv_record(rows, rng):
+    from optrap.dynamics import TrajectoryRecord
+    cells = (rng.normal(size=(rows, 8))
+             * 10.0 ** rng.integers(-30, 30, size=(rows, 8)))
+    return TrajectoryRecord(times=np.arange(rows) * 1e-9 + 1e-9,
+                            positions=cells[:, :3], velocities=cells[:, 3:6],
+                            kinetic_energy=cells[:, 6],
+                            potential_energy=cells[:, 7], metadata={})
+
+
+def test_trajectory_csv_matches_a_cell_by_cell_oracle():
+    from optrap.dynamics import CSV_BLOCK_ROWS
+    from optrap.units import format_sig
+    record = _csv_record(2 * CSV_BLOCK_ROWS + 37, np.random.default_rng(3))
+    record.positions[0] = (-0.0, 5e-324, 1e300)
+    record.velocities[1] = (2.2e-310, -1e300, 0.0)
+    record.kinetic_energy[2] = record.potential_energy[2] = -0.0
+    record.kinetic_energy[-1], record.potential_energy[-1] = 1e300, -4e-320
+    columns = (record.times, *record.positions.T, *record.velocities.T,
+               record.kinetic_energy, record.potential_energy,
+               record.total_energy)
+    oracle = ["t,x,y,z,vx,vy,vz,E_kin,E_pot,E_tot"] + [
+        ",".join(format_sig(float(col[i]), 12) for col in columns)
+        for i in range(len(record.times))]
+    text = record.to_csv_text()
+    assert text == "\n".join(oracle) + "\n"
+    assert "-0,4.94065645841e-324,1e+300," in text
+    assert text.endswith(",1e+300,-3.99995546873e-320,1e+300\n")
+
+
+def test_trajectory_csv_peak_memory_stays_near_the_text_size():
+    # the rows become Python floats one block at a time; a whole-table
+    # tolist() would peak at ~5.5x the text
+    import tracemalloc
+    record = _csv_record(50_000, np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        text = record.to_csv_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * len(text)
+
+
 # ---------------------------------------------------------------------------
 # driven oscillator
 # ---------------------------------------------------------------------------
@@ -329,6 +373,14 @@ def test_dominant_frequency_synthetic():
     t = np.linspace(0.0, 400 * 2 * np.pi / omega, 32768)
     freq = dominant_frequency(t, 3e-8 * np.cos(omega * t + 0.4))
     assert freq == pytest.approx(omega, rel=1e-7)
+
+
+@pytest.mark.parametrize("level", [0.0, 0.1, -3e-7])
+def test_dominant_frequency_of_a_motionless_signal_is_nan(level):
+    # a flat signal has no spectral peak; the FFT argmax of zeros and its
+    # refinement on a flat objective would give a made-up frequency
+    t = np.linspace(0.0, 5e-6, 101)
+    assert np.isnan(dominant_frequency(t, np.full(101, level)))
 
 
 # ---------------------------------------------------------------------------

@@ -378,9 +378,12 @@ def test_hill_spectrum_matches_two_sideband_law():
 @pytest.mark.parametrize("a,q", [(0.04, 0.02), (2.0, 1.0), (7.5, -2.5),
                                  (10.0, 3.0)])
 def test_hill_truncation_is_converged(a, q):
-    # the outermost kept harmonics c_N and c_-N are negligible
+    # the outermost kept harmonics c_m and c_-m of the window |n| <= m are
+    # negligible; in DFT order they sit at indices m and m + 1
     _, coeffs = floquet_eigenfunction_spectrum(a, q)
-    ends = np.abs(coeffs[[HILL_ORDER, -HILL_ORDER]])
+    m = len(coeffs) // 2
+    assert m >= HILL_ORDER
+    ends = np.abs(coeffs[[m, m + 1]])
     assert np.max(ends) < 1e-15 * np.max(np.abs(coeffs))
 
 
