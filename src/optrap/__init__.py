@@ -23,8 +23,8 @@ from .model import (FieldAmplitudes, IonSpecies, LaserBeam, TrapSetup,
                     setup_from_beam)
 from .dipole_trap import (MeanForce, TrapSummary, dipole_force_at,
                           effective_potential_at, mean_force_at,
-                          power_for_depth, recoil_energy, scattering_rate_at,
-                          trap_depth, trap_summary)
+                          power_for_depth, recoil_energy, trap_depth,
+                          trap_summary)
 from .charge_corrections import (CorrectionLedger, LedgerEntry, MonopoleDrive,
                                  MultipoleRatios, RelativisticRatios,
                                  corrections_table, monopole_drive,

@@ -145,18 +145,11 @@ class CorrectionLedger:
     depth: float  # U0 used for the ratios, J
     heating: _blackbody.HeatingEstimate  # behind the blackbody row
 
-    MAIN_ROWS = ("effective_charge_correction", "spin_orbit_coupling",
-                 "octupole_correction", "monopole_coupling")
-
     def entry(self, name: str) -> LedgerEntry:
         for item in self.entries:
             if item.name == name:
                 return item
         raise KeyError(name)
-
-    def main_rows(self):
-        """The four headline rows, in ledger (published-table) order."""
-        return tuple(self.entry(n) for n in self.MAIN_ROWS)
 
     def sorted_by_ratio(self):
         return tuple(sorted(self.entries, key=lambda en: en.ratio_to_u0,

@@ -151,18 +151,14 @@ def block_range(scan: dict, name: str) -> tuple:
 def check_scan(axes) -> list:
     """The grid-range rule of every stability scan, flag or config.
 
-    ``axes`` holds (name, (min, max, step)) pairs.  Every value must be
-    finite, min <= max and step > 0, and the grid at most
-    ``MAX_SCAN_CELLS`` cells.  Returns the (min, max, step) triples.
+    ``axes`` holds (name, (min, max, step)) pairs.  Each axis obeys the
+    range rule of :func:`~optrap.mathieu_floquet.grid_count`, and the
+    grid has at most ``MAX_SCAN_CELLS`` cells.  Returns the triples.
     """
     cells = 1
     for name, (lo, hi, step) in axes:
-        if not all(math.isfinite(v) for v in (lo, hi, step)):
-            raise ConfigError(f"{name} must be finite, got {lo}:{hi}:{step}")
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"{name} needs min <= max and step > 0, got "
-                              f"{lo}:{hi}:{step}")
-        cells *= grid_count(lo, hi, step)
+        with _model_checks(name):
+            cells *= grid_count(lo, hi, step)
     if cells > MAX_SCAN_CELLS:
         raise ConfigError(f"{' x '.join(name for name, _ in axes)} grid has "
                           f"{cells:.3g} cells, more than {MAX_SCAN_CELLS}")
@@ -261,7 +257,7 @@ def parse_config(raw: dict) -> ParsedConfig:
                            "laser.detuning_2pi_GHz", "laser.depth_mK"):
             power = power_for_depth(unit_setup, units.joule_from_mk(literal))
     with _model_checks(f"laser.{key}"):
-        setup = replace(unit_setup, beam=unit_beam.scaled_power(power))
+        setup = replace(unit_setup, beam=replace(unit_beam, power=power))
     return ParsedConfig(setup=setup, beam_spec_mode=mode,
                         blackbody_prefactor=prefactor,
                         simulate=simulate, scan=scan, raw=raw)

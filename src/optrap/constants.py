@@ -18,7 +18,6 @@ class PhysicalConstants:
     e_charge: float = 1.602176634e-19        # C (exact)
     m_electron: float = 9.1093837015e-31     # kg
     atomic_mass_unit: float = 1.66053906660e-27  # kg
-    bohr_radius: float = 5.29177210903e-11   # m
     fine_structure_alpha: float = 7.2973525693e-3
 
     def __post_init__(self):

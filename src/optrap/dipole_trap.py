@@ -31,6 +31,11 @@ from .model import (FOCUS, TrapSetup, intensity_gradient_at,
 FORCE_MODELS = ("exact_log", "low_sat")  # the modes of dipole_force_at
 
 
+def _check_mode(mode: str):
+    if mode not in FORCE_MODELS:
+        raise ValueError(f"unknown potential mode: {mode!r}")
+
+
 def effective_potential_at(setup: TrapSetup, position, mode: str = "low_sat"):
     """AC-Stark potential for the centre of mass, J.
 
@@ -40,13 +45,10 @@ def effective_potential_at(setup: TrapSetup, position, mode: str = "low_sat"):
     The two differ by a relative factor s/2 + O(s^2).  Red detuning
     (delta < 0) makes the potential attractive towards high intensity.
     """
+    _check_mode(mode)
     s = saturation_at(setup, position)
     half = 0.5 * CONST.hbar * setup.beam.detuning
-    if mode == "low_sat":
-        return half * s
-    if mode == "exact_log":
-        return half * np.log1p(s)
-    raise ValueError(f"unknown potential mode: {mode!r}")
+    return half * (np.log1p(s) if mode == "exact_log" else s)
 
 
 def trap_depth(setup: TrapSetup) -> float:
@@ -88,8 +90,7 @@ def _dipole_force(setup: TrapSetup, position, s):
 
 def dipole_force_at(setup: TrapSetup, position, mode: str = "exact_log"):
     """Conservative dipole force -grad V, shape (..., 3), N."""
-    if mode not in FORCE_MODELS:
-        raise ValueError(f"unknown potential mode: {mode!r}")
+    _check_mode(mode)
     s = saturation_at(setup, position) if mode == "exact_log" else 0.0
     return _dipole_force(setup, position, s)
 
@@ -98,7 +99,7 @@ def dipole_force_at(setup: TrapSetup, position, mode: str = "exact_log"):
 class MeanForce:
     """Optical mean force decomposed into its two physical parts."""
 
-    dipolar: np.ndarray             # N, conservative, -grad (hbar d/2) ln(1+s)
+    dipolar: np.ndarray             # N, conservative, -grad V of the mode
     radiation_pressure: np.ndarray  # N, dissipative, along the beam axis
 
     @property
@@ -106,10 +107,13 @@ class MeanForce:
         return self.dipolar + self.radiation_pressure
 
 
-def mean_force_at(setup: TrapSetup, position) -> MeanForce:
-    """Mean optical force after averaging over the optical period."""
+def mean_force_at(setup: TrapSetup, position,
+                  mode: str = "exact_log") -> MeanForce:
+    """Mean optical force after averaging over the optical period; the
+    dipolar part has :func:`dipole_force_at`'s form in ``mode``."""
+    _check_mode(mode)
     s = saturation_at(setup, position)
-    dip = _dipole_force(setup, position, s)
+    dip = _dipole_force(setup, position, s if mode == "exact_log" else 0.0)
     gamma = setup.transition.linewidth
     k = setup.beam.wavenumber
     mag = 0.5 * CONST.hbar * gamma * (s / (1.0 + s)) * k
@@ -117,18 +121,10 @@ def mean_force_at(setup: TrapSetup, position) -> MeanForce:
     return MeanForce(dipolar=dip, radiation_pressure=rp)
 
 
-def scattering_rate_at(setup: TrapSetup, position):
-    """Photon scattering rate Gamma_sc = (Gamma/delta) V_eff/hbar, 1/s.
-
-    With the low-saturation potential this is identically Gamma s / 2.
-    Valid at low saturation and far detuning; a warning is emitted when
-    s > 0.1 or |delta| is not large against Gamma/2.
-    """
-    return _scattering_rate(setup, saturation_at(setup, position))
-
-
 def _scattering_rate(setup: TrapSetup, s):
-    """Gamma s / 2 given the saturation s, with the validity warnings."""
+    """Scattering rate Gamma_sc = (Gamma/delta) V_eff/hbar = Gamma s / 2,
+    1/s, given s.  Valid at low saturation and far detuning: it warns
+    when s > 0.1 or |delta| is not large against Gamma/2."""
     gamma = setup.transition.linewidth
     delta = setup.beam.detuning
     if abs(delta) < 5.0 * gamma:
@@ -174,8 +170,8 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
     Static curvatures add in quadrature per axis, signed; an axis whose
     combined curvature (:func:`secular_curvatures`) is negative is
     reported in ``anticonfined_axes`` (with NaN frequency) rather than
-    raising.  The focus scattering rate is :func:`scattering_rate_at`'s
-    formula, with its validity warnings.
+    raising.  The focus scattering rate is Gamma s0 / 2, with the
+    formula's validity warnings.
     """
     if setup.beam.detuning >= 0:
         raise BlueDetunedUnsupported(

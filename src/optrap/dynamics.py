@@ -10,8 +10,9 @@ Two deliberately separate integrations:
   does not change along the trajectory is computed once: the static
   curvatures' stiffness per run, and the focus saturation s0 once per
   setup (:attr:`~optrap.model.TrapSetup.saturation_at_focus`), which sets
-  the force scale s0/I0.  Each right-hand-side evaluation calls the
-  public force functions.
+  the force scale s0/I0.  Each right-hand-side evaluation makes one
+  public force call: :func:`~optrap.dipole_trap.mean_force_at` with
+  radiation pressure, :func:`~optrap.dipole_trap.dipole_force_at` without.
 
 * :func:`integrate_driven` solves the charge-monopole driven harmonic
   oscillator M x'' = Q E cos(w_d t) - M w0^2 x with the fixed-step RK8
@@ -150,13 +151,9 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
 
     def rhs(_t, y):
         pos = y[:3]
-        if include_radiation_pressure:
-            force = mean_force_at(setup, pos)
-            f = (force.dipolar if force_model == "exact_log"
-                 else dipole_force_at(setup, pos, mode="low_sat"))
-            f = f + force.radiation_pressure
-        else:
-            f = dipole_force_at(setup, pos, mode=force_model)
+        f = (mean_force_at(setup, pos, mode=force_model).total
+             if include_radiation_pressure
+             else dipole_force_at(setup, pos, mode=force_model))
         f = f + static_stiffness * pos
         return np.concatenate([y[3:], f / mass])
 
@@ -271,11 +268,11 @@ def driven_steps(omega0: float, drive_frequency: float, t_end: float = None,
 
 
 def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
-                     drive_periods: int = None, steps_per_period: int = 64,
-                     sample_every: int = 1) -> TrajectoryRecord:
+                     drive_periods: int = None,
+                     steps_per_period: int = 64) -> TrajectoryRecord:
     """Fixed-step integration of the driven oscillator over the steps of
-    :func:`driven_steps` (``steps_per_period`` >= 64).  Raises
-    :class:`UnreachableScale` for w_d/w0 > 1e6.
+    :func:`driven_steps` (``steps_per_period`` >= 64), recorded at every
+    step.  Raises :class:`UnreachableScale` for w_d/w0 > 1e6.
     """
     ratio = spec.drive_frequency / spec.omega0
     if ratio > 1e6:
@@ -298,8 +295,7 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
     def accel(t, x):
         return qe_over_m * cos(wd * t) - w0_sq * x
 
-    ts, xs, vs = rk8_scalar_oscillator(accel, 0.0, h, nsteps, spec.x0, spec.v0,
-                                       sample_every=sample_every)
+    ts, xs, vs = rk8_scalar_oscillator(accel, 0.0, h, nsteps, spec.x0, spec.v0)
     positions = np.zeros((len(ts), 3))
     positions[:, 0] = xs
     velocities = np.zeros_like(positions)

@@ -4,11 +4,11 @@ The 11-stage order-8 scheme of Cooper and Verner (coefficients closed in
 sqrt(21)).  :func:`rk8_oscillator` is the one stepping loop: the Mathieu
 monodromy (its two fundamental solutions over the half period, batched
 over (a, q) points or one point at a time) and the driven oscillator
-(through :func:`rk8_scalar_oscillator`) both run through it.  Fixed
-stepping keeps phase-sensitive comparisons (monodromy matrices, driven
-steady states) bit-reproducible across runs; adaptive integration for the
-secular trap dynamics lives in :mod:`optrap.dynamics` on top of scipy
-instead.
+(through :func:`rk8_scalar_oscillator`, recorded at every step) both run
+through it.  Fixed stepping keeps phase-sensitive comparisons (monodromy
+matrices, driven steady states) bit-reproducible across runs; adaptive
+integration for the secular trap dynamics lives in :mod:`optrap.dynamics`
+on top of scipy instead.
 """
 
 import math
@@ -50,7 +50,7 @@ _B_NONZERO = tuple((i, bi) for i, bi in enumerate(RK8_B) if bi != 0.0)
 
 
 def rk8_oscillator(accel, t0: float, h: float, nsteps: int, x0, v0,
-                   sample_every: int = 0):
+                   record: bool = False):
     """Integrate x'' = accel(t, x) with ``nsteps`` equal RK8 steps of size h.
 
     ``x0`` and ``v0`` may be Python floats or numpy arrays of one shape;
@@ -59,9 +59,8 @@ def rk8_oscillator(accel, t0: float, h: float, nsteps: int, x0, v0,
     ``accel`` must return the type of ``x``: on the float path a Python
     float (``math.cos``, not ``np.cos``, of the scalar t), since one numpy
     scalar would carry every later stage into numpy-scalar arithmetic.  With
-    ``sample_every`` > 0, returns (times, positions, velocities) sampled
-    at the start and after every that-many steps; otherwise returns only
-    the final (x, v).
+    ``record``, returns (times, positions, velocities) at the start and
+    after every step; otherwise returns only the final (x, v).
     """
     if nsteps < 1:
         raise ValueError("nsteps must be >= 1")
@@ -71,9 +70,8 @@ def rk8_oscillator(accel, t0: float, h: float, nsteps: int, x0, v0,
     kx = [None] * len(a)
     kv = [None] * len(a)
     x, v = x0, v0
-    record = sample_every > 0
     if record:
-        ts = t0 + (np.arange(nsteps // sample_every + 1) * sample_every) * h
+        ts = t0 + np.arange(nsteps + 1) * h
         xs = np.empty(ts.shape + np.shape(x0))
         vs = np.empty_like(xs)
         xs[0], vs[0] = x0, v0
@@ -93,22 +91,17 @@ def rk8_oscillator(accel, t0: float, h: float, nsteps: int, x0, v0,
             dv = dv + hbi * kv[i]
         x = x + dx
         v = v + dv
-        if record and (n + 1) % sample_every == 0:
-            xs[(n + 1) // sample_every] = x
-            vs[(n + 1) // sample_every] = v
+        if record:
+            xs[n + 1] = x
+            vs[n + 1] = v
     if record:
         return ts, xs, vs
     return x, v
 
 
 def rk8_scalar_oscillator(accel, t0: float, h: float, nsteps: int,
-                          x0: float, v0: float, sample_every: int = 1):
-    """:func:`rk8_oscillator` on floats, always sampled.
-
-    Returns (times, positions, velocities) at the start and after every
-    ``sample_every`` (>= 1) steps.
-    """
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
+                          x0: float, v0: float):
+    """:func:`rk8_oscillator` on floats, recorded: returns (times,
+    positions, velocities) at the start and after every step."""
     return rk8_oscillator(accel, t0, h, nsteps, float(x0), float(v0),
-                          sample_every=sample_every)
+                          record=True)

@@ -305,16 +305,18 @@ class StabilityScan:
 
 
 def grid_count(lo: float, hi: float, step: float):
-    """Number of scan values lo, lo + step, ... <= hi (inf past float range)."""
+    """Number of scan values lo, lo + step, ... <= hi (inf past float
+    range); the scan range rule: all finite, lo <= hi and step > 0."""
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"scan range must be finite, got {lo}:{hi}:{step}")
+    if step <= 0 or hi < lo:
+        raise ValueError("scan range needs min <= max and step > 0, got "
+                         f"{lo}:{hi}:{step}")
     ratio = (hi - lo) / step + 1e-9
     return math.floor(ratio) + 1 if math.isfinite(ratio) else math.inf
 
 
 def _range_values(lo: float, hi: float, step: float) -> np.ndarray:
-    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(step)):
-        raise ValueError("scan range must be finite")
-    if step <= 0 or hi < lo:
-        raise ValueError("scan range must satisfy lo <= hi with step > 0")
     return lo + step * np.arange(grid_count(lo, hi, step))
 
 

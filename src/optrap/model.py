@@ -16,7 +16,7 @@ arrays, and squares of point values are products (a scalar's ``** 2`` is
 libm's pow, an array's is x*x), so a point has the bits of its batch row.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,11 +67,6 @@ class IonSpecies:
     def core_mass(self) -> float:
         """m_n = M - m_e, kg."""
         return self.total_mass - CONST.m_electron
-
-    @property
-    def core_charge(self) -> float:
-        """q_n = Q - q_e, C."""
-        return self.total_charge - self.valence_electron_charge
 
     @property
     def reduced_mass(self) -> float:
@@ -173,14 +168,6 @@ class LaserBeam:
     def focus_intensity(self) -> float:
         """I0 = 2P/(pi w0^2), W/m^2."""
         return 2.0 * self.power / (np.pi * self.waist_radius ** 2)
-
-    def spot_size(self, z):
-        """w(z) = w0 sqrt(1 + (z/zR)^2), m."""
-        return self.waist_radius * np.sqrt(1.0 + (z / self.rayleigh_range) ** 2)
-
-    def scaled_power(self, factor: float) -> "LaserBeam":
-        """Same beam with the power multiplied by ``factor``."""
-        return replace(self, power=self.power * factor)
 
 
 @dataclass(frozen=True)

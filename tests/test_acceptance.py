@@ -6,6 +6,7 @@ the configuration-level criteria.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +104,8 @@ def test_criterion_4_monopole_micromotion_energy(mg):
     drive = monopole_drive(mg.setup)
     temp_nk = drive.equivalent_temperature * 1e9
     beam = mg.setup.beam
-    doubled = setup_from_beam(mg.setup.ion, beam.scaled_power(2.0),
+    doubled = setup_from_beam(mg.setup.ion,
+                              replace(beam, power=2.0 * beam.power),
                               mg.setup.transition.linewidth,
                               static_curvatures=mg.setup.static_curvatures,
                               temperature=mg.setup.temperature)

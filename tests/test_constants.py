@@ -12,7 +12,6 @@ def test_pinned_values():
     assert c.eps0 == pytest.approx(8.8541878128e-12, rel=0)
     assert c.m_electron == pytest.approx(9.1093837015e-31, rel=0)
     assert c.atomic_mass_unit == pytest.approx(1.66053906660e-27, rel=0)
-    assert c.bohr_radius == pytest.approx(5.29177210903e-11, rel=0)
     assert c.fine_structure_alpha == pytest.approx(7.2973525693e-3, rel=0)
 
 

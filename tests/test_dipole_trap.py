@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from optrap import (effective_potential_at, dipole_force_at, mean_force_at,
-                    recoil_energy, saturation_at, scattering_rate_at,
-                    trap_summary)
+                    recoil_energy, saturation_at, trap_summary)
 from optrap.constants import CONST
 from optrap.errors import BlueDetunedUnsupported, SaturationValidityWarning
 
@@ -105,6 +104,30 @@ def test_force_decomposition_at_focus(mg_setup):
     assert force.radiation_pressure[2] == pytest.approx(2.051e-21, rel=1e-3)
 
 
+def test_mean_force_dipolar_part_follows_mode(mg_setup):
+    # in either mode the dipolar part is dipole_force_at's, bit for bit,
+    # and the radiation pressure does not depend on the mode
+    rng = np.random.default_rng(17)
+    scale = np.array([WAIST, WAIST, mg_setup.beam.rayleigh_range])
+    pts = rng.uniform(-1.5, 1.5, (64, 3)) * scale
+    for pos in (pts[0], pts):
+        forces = {mode: mean_force_at(mg_setup, pos, mode=mode)
+                  for mode in ("low_sat", "exact_log")}
+        for mode, force in forces.items():
+            expected = dipole_force_at(mg_setup, pos, mode=mode)
+            assert force.dipolar.shape == expected.shape
+            assert force.dipolar.tobytes() == expected.tobytes(), mode
+        assert (forces["low_sat"].radiation_pressure.tobytes()
+                == forces["exact_log"].radiation_pressure.tobytes())
+
+
+@pytest.mark.parametrize("function", [mean_force_at, dipole_force_at,
+                                      effective_potential_at])
+def test_unknown_mode_raises(mg_setup, function):
+    with pytest.raises(ValueError, match="unknown potential mode: 'exactlog'"):
+        function(mg_setup, FOCUS, mode="exactlog")
+
+
 def test_dipolar_force_is_gradient_of_log_potential(mg_setup):
     # -grad V(exact_log) vs the dipolar component, 1e4 random points
     rng = np.random.default_rng(11)
@@ -182,31 +205,26 @@ def test_low_sat_force_is_gradient_of_low_sat_potential(mg_setup):
 # ---------------------------------------------------------------------------
 
 def test_scattering_rate_identity(mg_setup):
-    rng = np.random.default_rng(5)
-    zr = mg_setup.beam.rayleigh_range
-    for _ in range(50):
-        pt = (rng.uniform(-1, 1) * WAIST, rng.uniform(-1, 1) * WAIST,
-              rng.uniform(-1, 1) * zr)
-        rate = scattering_rate_at(mg_setup, pt)
-        s = saturation_at(mg_setup, pt)
-        assert rate == pytest.approx(0.5 * LINEWIDTH * s, rel=1e-14)
-        # Eq-structure identity: Gamma_sc / (|V|/hbar) = Gamma/|delta|
-        v = effective_potential_at(mg_setup, pt, mode="low_sat")
-        if v != 0.0:
-            assert rate / (abs(v) / CONST.hbar) == pytest.approx(
-                LINEWIDTH / abs(DETUNING), rel=1e-12)
+    summary = trap_summary(mg_setup)
+    rate = summary.scattering_rate_at_focus
+    s0 = saturation_at(mg_setup, FOCUS)
+    assert rate == pytest.approx(0.5 * LINEWIDTH * s0, rel=1e-14)
+    # Eq-structure identity: Gamma_sc / (U0/hbar) = Gamma/|delta|
+    assert rate / (summary.depth / CONST.hbar) == pytest.approx(
+        LINEWIDTH / abs(DETUNING), rel=1e-12)
 
 
 def test_scattering_rate_reference(mg_setup):
-    rate = scattering_rate_at(mg_setup, FOCUS)
+    rate = trap_summary(mg_setup).scattering_rate_at_focus
     assert rate == pytest.approx(8.728e5, rel=1e-3)
-    assert scattering_rate_at(make_reference_setup(power=0.0), FOCUS) == 0.0
+    dark = make_reference_setup(power=0.0)
+    assert trap_summary(dark).scattering_rate_at_focus == 0.0
 
 
 def test_scattering_high_saturation_warning():
     hot = make_reference_setup(power=100.0)  # s0 ~ 2.4 > 0.1
     with pytest.warns(SaturationValidityWarning):
-        scattering_rate_at(hot, FOCUS)
+        trap_summary(hot)
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ def test_driven_free_energy_conservation():
         x0=1e-9, v0=0.0)
     periods = 1000
     record = integrate_driven(spec, t_end=periods * 2 * np.pi / spec.omega0,
-                              steps_per_period=64, sample_every=64)
+                              steps_per_period=64)
     energy = record.total_energy
     assert np.max(np.abs(energy - energy[0])) / energy[0] < 1e-9
 
@@ -316,13 +316,6 @@ def test_driven_high_frequency_limit():
 def test_resonance_rejected():
     with pytest.raises(Resonance):
         make_spec(1.0005)
-
-
-@pytest.mark.parametrize("sample_every", [0, -1])
-def test_driven_nonpositive_sample_every_raises(sample_every):
-    with pytest.raises(ValueError, match="sample_every must be >= 1"):
-        integrate_driven(make_spec(10.0), drive_periods=1,
-                         sample_every=sample_every)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +429,37 @@ def test_integrate_full_rejects_bad_tolerances_before_solving(
     with pytest.raises(ValueError, match="atol"):
         integrate_full(mg_setup, ((7e-8, 0.0, 0.0), (0.0, 0.0, 0.0)), 1e-7,
                        rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("force_model", ["low_sat", "exact_log"])
+@pytest.mark.parametrize("radiation", [True, False])
+def test_integrate_full_one_force_call_per_evaluation(
+        mg_setup, monkeypatch, radiation, force_model):
+    # each right-hand-side evaluation makes exactly one public force call:
+    # mean_force_at with radiation pressure, dipole_force_at without
+    from optrap import dynamics
+    calls = {"mean_force_at": 0, "dipole_force_at": 0}
+    for name in calls:
+        def counted(*args, _name=name, _force=getattr(dynamics, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _force(*args, **kwargs)
+        monkeypatch.setattr(dynamics, name, counted)
+    solutions = []
+    solve_ivp = dynamics.solve_ivp
+
+    def kept_solve_ivp(*args, **kwargs):
+        solutions.append(solve_ivp(*args, **kwargs))
+        return solutions[-1]
+    monkeypatch.setattr(dynamics, "solve_ivp", kept_solve_ivp)
+    setup = make_reference_setup(static=(0.0, 0.0, 1e10))
+    integrate_full(setup, ((7e-8, 0.0, 0.0), (0.0, 0.0, 0.0)), 2e-6,
+                   include_radiation_pressure=radiation,
+                   force_model=force_model, samples=9)
+    used, unused = (("mean_force_at", "dipole_force_at") if radiation
+                    else ("dipole_force_at", "mean_force_at"))
+    assert calls[used] == solutions[0].nfev > 0
+    assert calls[unused] == 0
 
 
 # with radiation pressure on, the force model selects only the dipolar part,
