@@ -26,12 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (block_range, check_full_span, check_scan, check_steps,
-                     load_config, range_flag)
+from .config import check_full_span, load_config, scan_request
 from .dynamics import (DEFAULT_SAMPLES, DrivenOscillatorSpec,
                        dominant_frequency, integrate_driven, integrate_full)
 from .errors import ConfigError, FrequencyRangeWarning, PhysicsError
-from .mathieu_floquet import stability_scan
+from .mathieu_floquet import MAX_HALF_STEPS, stability_scan
 from .reporting import build_report, render_text
 from .units import format_sig
 
@@ -77,18 +76,8 @@ def run_report(args) -> int:
 
 def run_stability(args) -> int:
     parsed = load_config(args.config)
-    axes = []
-    for name, flag in (("a", args.a), ("q", args.q)):
-        if flag is not None:
-            axes.append(range_flag(flag, name))
-        elif parsed.scan:
-            axes.append(block_range(parsed.scan, name))
-        else:
-            raise ConfigError(f"no --{name} range given and no scan block "
-                              "in config")
-    a_range, q_range = check_scan(axes)
-    steps = (check_steps(args.steps, "--steps") if args.steps is not None
-             else parsed.scan.get("monodromy_steps"))
+    a_range, q_range, steps = scan_request(parsed.scan, args.a, args.q,
+                                           args.steps)
 
     grid = stability_scan(a_range[:2], q_range[:2], (a_range[2], q_range[2]),
                           steps=steps)
@@ -113,10 +102,8 @@ def run_simulate(args) -> int:
         record = integrate_full(parsed.setup, sim["initial"], sim["t_end_s"],
                                 **sim["options"])
     else:
-        spec = DrivenOscillatorSpec(charge=parsed.setup.ion.total_charge,
-                                    mass=parsed.setup.ion.total_mass,
-                                    **sim["spec"])
-        record = integrate_driven(spec, **sim["run"])
+        record = integrate_driven(DrivenOscillatorSpec(**sim["spec"]),
+                                  **sim["run"])
     # everything that can fail runs before the one write
     if not all(np.isfinite(series).all() for series in (
             record.positions, record.velocities, record.total_energy)):
@@ -150,8 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     stab.add_argument("--a", help="a range as min:max:step")
     stab.add_argument("--q", help="q range as min:max:step")
     stab.add_argument("--steps", type=int, default=None,
-                      help="RK8 monodromy steps over the half period, used "
-                      "verbatim (default: set by the largest |a| + 2|q|)")
+                      help=f"RK8 monodromy steps over the half period, 1 to "
+                      f"{MAX_HALF_STEPS}, used verbatim (default: set by the "
+                      "largest |a| + 2|q|)")
     stab.add_argument("--out-dir", default=".")
     stab.set_defaults(func=run_stability)
 

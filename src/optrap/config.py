@@ -10,6 +10,7 @@ is inverted through the exact linearity of the weak-drive depth in power.
 
 import json
 import math
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -17,9 +18,10 @@ from pathlib import Path
 
 from .errors import ConfigError, FrequencyRangeWarning
 from .model import IonSpecies, LaserBeam, TrapSetup, setup_from_beam
-from .dipole_trap import FORCE_MODELS, power_for_depth, secular_curvatures
-from .dynamics import DEFAULT_SAMPLES, MIN_ATOL, driven_steps
-from .mathieu_floquet import grid_count
+from .dipole_trap import check_force_model, power_for_depth, secular_curvatures
+from .dynamics import (DEFAULT_SAMPLES, MIN_ATOL, MIN_STEPS_PER_PERIOD,
+                       driven_steps)
+from .mathieu_floquet import MAX_HALF_STEPS, grid_count
 from . import units
 
 
@@ -47,8 +49,8 @@ class ParsedConfig:
     beam_spec_mode: str            # "power" or "depth"
     blackbody_prefactor: float
     # {} when absent; "initial" a (pos, vel) pair; a driven block adds
-    # "spec" (the SI DrivenOscillatorSpec fields but charge and mass) and
-    # "run" (integrate_driven's keyword arguments)
+    # "spec" (the SI DrivenOscillatorSpec fields) and "run"
+    # (integrate_driven's keyword arguments)
     simulate: dict
     scan: dict                     # {} when absent
     raw: dict                      # the config exactly as read (echoed in reports)
@@ -89,12 +91,7 @@ def _number(section: dict, key: str, path: str, *, required=True, default=None,
         if required:
             raise ConfigError(f"missing key: {path}.{key}")
         return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key} must be finite")
+    value = _finite(section[key], f"{path}.{key}")
     if minimum is not None:
         if strict_min and not value > minimum:
             raise ConfigError(f"{path}.{key} must be > {minimum}")
@@ -103,13 +100,20 @@ def _number(section: dict, key: str, path: str, *, required=True, default=None,
     return value
 
 
+def _finite(value, name: str) -> float:
+    """A JSON number (not a bool) within the float range, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number")
+    if not abs(value) <= sys.float_info.max:   # nan, inf, a huge integer
+        raise ConfigError(f"{name} must be finite")
+    return float(value)
+
+
 def _vector3(section: dict, key: str, path: str) -> tuple:
     values = section.get(key, [0.0, 0.0, 0.0])
-    if (not isinstance(values, list) or len(values) != 3
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   or not math.isfinite(float(v)) for v in values)):
+    if not isinstance(values, list) or len(values) != 3:
         raise ConfigError(f"{path}.{key} must be a list of 3 finite numbers")
-    return tuple(float(v) for v in values)
+    return tuple(_finite(v, f"{path}.{key}") for v in values)
 
 
 def _integer(value, name: str, minimum: int) -> int:
@@ -119,60 +123,51 @@ def _integer(value, name: str, minimum: int) -> int:
     return value
 
 
-def check_steps(value, name: str) -> int:
-    """A monodromy step count: an integer >= 1 (bools rejected)."""
-    return _integer(value, name, 1)
-
-
-def _choice(section: dict, key: str, path: str, allowed):
-    if key in section and section[key] not in allowed:
-        raise ConfigError(f"{path}.{key} must be one of "
-                          f"{', '.join(allowed)}, got {section[key]!r}")
-
-
-def range_flag(text: str, name: str) -> tuple:
-    """(``--name``, (min, max, step)) from a ``min:max:step`` flag."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--{name} must be min:max:step")
-    try:
-        return f"--{name}", tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"--{name} must contain numbers: {text!r}") from exc
-
-
-def block_range(scan: dict, name: str) -> tuple:
-    """(key names, (min, max, step)) of one axis of a scan block."""
-    keys = tuple(f"{name}_{end}" for end in ("min", "max", "step"))
-    return "scan." + "/".join(keys), tuple(_number(scan, key, "scan")
-                                           for key in keys)
-
-
-def check_scan(axes) -> list:
-    """The grid-range rule of every stability scan, flag or config.
-
-    ``axes`` holds (name, (min, max, step)) pairs.  Each axis obeys the
-    range rule of :func:`~optrap.mathieu_floquet.grid_count`, and the
-    grid has at most ``MAX_SCAN_CELLS`` cells.  Returns the triples.
-    """
-    cells = 1
-    for name, (lo, hi, step) in axes:
+def scan_request(block: dict, a: str = None, q: str = None,
+                 steps: int = None) -> tuple:
+    """(a range, q range, step count) of one stability scan, from the
+    ``--a``/``--q``/``--steps`` values where given, else the scan block.
+    Each (min, max, step) obeys :func:`~optrap.mathieu_floquet.grid_count`,
+    the grid has at most ``MAX_SCAN_CELLS`` cells, and a step count is an
+    integer from 1 to ``MAX_HALF_STEPS`` (None: the scan's default)."""
+    _check_keys(block, {"a_min", "a_max", "a_step", "q_min", "q_max",
+                        "q_step", "monodromy_steps"}, "scan")
+    axes, cells = [], 1
+    for axis, flag in (("a", a), ("q", q)):
+        if flag is not None:
+            name, values = f"--{axis}", flag.split(":")
+            if len(values) != 3:
+                raise ConfigError(f"{name} must be min:max:step")
+        elif block:
+            keys = [f"{axis}_{end}" for end in ("min", "max", "step")]
+            name = "scan." + "/".join(keys)
+            values = [_number(block, key, "scan") for key in keys]
+        else:
+            raise ConfigError(f"no --{axis} range given and no scan block "
+                              "in config")
         with _model_checks(name):
-            cells *= grid_count(lo, hi, step)
+            values = tuple(float(v) for v in values)
+            cells *= grid_count(*values)
+        axes.append((name, values))
     if cells > MAX_SCAN_CELLS:
         raise ConfigError(f"{' x '.join(name for name, _ in axes)} grid has "
                           f"{cells:.3g} cells, more than {MAX_SCAN_CELLS}")
-    return [values for _, values in axes]
+    name = "--steps" if steps is not None else "scan.monodromy_steps"
+    steps = block.get("monodromy_steps") if steps is None else steps
+    if steps is not None and _integer(steps, name, 1) > MAX_HALF_STEPS:
+        raise ConfigError(f"{name} must be <= {MAX_HALF_STEPS}, got {steps}")
+    return axes[0][1], axes[1][1], steps
 
 
 def load_config(path) -> ParsedConfig:
     """Read and validate a JSON configuration file."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer of too many digits, or deep nesting
+        raise ConfigError(f"invalid JSON: {exc}") from exc
     return parse_config(raw)
 
 
@@ -226,15 +221,11 @@ def parse_config(raw: dict) -> ParsedConfig:
 
     simulate = _section(raw, "simulate")
     if simulate:
-        simulate = _validate_simulate(simulate)
+        simulate = _validate_simulate(simulate, ion)
 
     scan = _section(raw, "scan")
     if scan:
-        _check_keys(scan, {"a_min", "a_max", "a_step", "q_min", "q_max",
-                           "q_step", "monodromy_steps"}, "scan")
-        check_scan([block_range(scan, "a"), block_range(scan, "q")])
-        if "monodromy_steps" in scan:
-            check_steps(scan["monodromy_steps"], "scan.monodromy_steps")
+        scan_request(scan)
 
     mode, key = ("power", "power_mW") if has_power else ("depth", "depth_mK")
     literal = _number(laser_cfg, key, "laser", minimum=0.0, strict_min=True)
@@ -263,7 +254,7 @@ def parse_config(raw: dict) -> ParsedConfig:
                         simulate=simulate, scan=scan, raw=raw)
 
 
-def _validate_simulate(sim: dict) -> dict:
+def _validate_simulate(sim: dict, ion: IonSpecies) -> dict:
     """Check a simulate block; fill in "options" and "initial"."""
     _check_keys(sim, {"mode", "initial", "t_end_s", "options"}, "simulate")
     mode = sim.get("mode")
@@ -279,7 +270,9 @@ def _validate_simulate(sim: dict) -> dict:
         initial = tuple(_vector3(initial, key, "simulate.initial")
                         for key in keys)
         _number(sim, "t_end_s", "simulate", minimum=0.0, strict_min=True)
-        _choice(options, "force_model", path, FORCE_MODELS)
+        if "force_model" in options:
+            with _model_checks(f"{path}.force_model"):
+                check_force_model(options["force_model"])
         _number(options, "rtol", path, required=False, minimum=0.0,
                 strict_min=True)
         _number(options, "atol", path, required=False, minimum=MIN_ATOL)
@@ -303,11 +296,12 @@ def _validate_simulate(sim: dict) -> dict:
         run = {}   # integrate_driven's keyword arguments
         if "steps_per_period" in options:
             run["steps_per_period"] = _integer(
-                options["steps_per_period"], f"{path}.steps_per_period", 64)
+                options["steps_per_period"], f"{path}.steps_per_period",
+                MIN_STEPS_PER_PERIOD)
         durations = []
         if "drive_periods" in options:
-            run["drive_periods"] = check_steps(options["drive_periods"],
-                                               f"{path}.drive_periods")
+            run["drive_periods"] = _integer(options["drive_periods"],
+                                            f"{path}.drive_periods", 1)
             durations.append(f"{path}.drive_periods")
         if "t_end_s" in sim:
             run["t_end"] = _number(sim, "t_end_s", "simulate", minimum=0.0,
@@ -334,6 +328,7 @@ def _validate_simulate(sim: dict) -> dict:
             f"{path}.drive_ratio"]))
         return {**sim, "options": options, "initial": initial, "run": run,
                 "spec": {"omega0": omega0, "drive_frequency": drive,
+                         "charge": ion.total_charge, "mass": ion.total_mass,
                          "field_amplitude": field, "x0": initial[0],
                          "v0": initial[1]}}
     return {**sim, "options": options, "initial": initial}
@@ -367,5 +362,6 @@ def check_full_span(setup: TrapSetup, t_end: float,
 
 def _check_rows(rows, keys: str):
     if rows > MAX_TRAJECTORY_ROWS:
+        rows = rows if rows <= sys.float_info.max else math.inf   # huge int
         raise ConfigError(f"{keys}: the trajectory would have {rows:.3g} "
                           f"rows, more than {MAX_TRAJECTORY_ROWS}")

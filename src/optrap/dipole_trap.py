@@ -31,9 +31,11 @@ from .model import (FOCUS, TrapSetup, intensity_gradient_at,
 FORCE_MODELS = ("exact_log", "low_sat")  # the modes of dipole_force_at
 
 
-def _check_mode(mode: str):
+def check_force_model(mode: str):
+    """``ValueError`` unless ``mode`` is one of ``FORCE_MODELS``."""
     if mode not in FORCE_MODELS:
-        raise ValueError(f"unknown potential mode: {mode!r}")
+        raise ValueError(f"unknown potential mode: {mode!r} (one of "
+                         f"{', '.join(FORCE_MODELS)})")
 
 
 def effective_potential_at(setup: TrapSetup, position, mode: str = "low_sat"):
@@ -45,7 +47,7 @@ def effective_potential_at(setup: TrapSetup, position, mode: str = "low_sat"):
     The two differ by a relative factor s/2 + O(s^2).  Red detuning
     (delta < 0) makes the potential attractive towards high intensity.
     """
-    _check_mode(mode)
+    check_force_model(mode)
     s = saturation_at(setup, position)
     half = 0.5 * CONST.hbar * setup.beam.detuning
     return half * (np.log1p(s) if mode == "exact_log" else s)
@@ -90,7 +92,7 @@ def _dipole_force(setup: TrapSetup, position, s):
 
 def dipole_force_at(setup: TrapSetup, position, mode: str = "exact_log"):
     """Conservative dipole force -grad V, shape (..., 3), N."""
-    _check_mode(mode)
+    check_force_model(mode)
     s = saturation_at(setup, position) if mode == "exact_log" else 0.0
     return _dipole_force(setup, position, s)
 
@@ -111,7 +113,7 @@ def mean_force_at(setup: TrapSetup, position,
                   mode: str = "exact_log") -> MeanForce:
     """Mean optical force after averaging over the optical period; the
     dipolar part has :func:`dipole_force_at`'s form in ``mode``."""
-    _check_mode(mode)
+    check_force_model(mode)
     s = saturation_at(setup, position)
     dip = _dipole_force(setup, position, s if mode == "exact_log" else 0.0)
     gamma = setup.transition.linewidth

@@ -41,7 +41,7 @@ from .errors import (EscapedTrap, InitialConditionWarning, NoRoot, Resonance,
                      StepFailure, UnreachableScale)
 from .integrators import rk8_scalar_oscillator
 from .model import TrapSetup
-from .dipole_trap import (FORCE_MODELS, dipole_force_at,
+from .dipole_trap import (check_force_model, dipole_force_at,
                           effective_potential_at, mean_force_at)
 
 ESCAPE_RADIUS_WAISTS = 100.0
@@ -50,6 +50,7 @@ INITIAL_WARNING_WAISTS = 5.0
 # that stay exactly zero (0/0 error ratios); 1e-100 ends cleanly
 MIN_ATOL = 1e-100
 DEFAULT_SAMPLES = 4097   # integrate_full's output samples
+MIN_STEPS_PER_PERIOD = 64   # integrate_driven's floor on steps per period
 CSV_BLOCK_ROWS = 512     # trajectory CSV rows formatted per block
 
 
@@ -129,9 +130,7 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     if not (atol >= MIN_ATOL and rtol > 0):
         raise ValueError(f"need atol >= {MIN_ATOL:g} and rtol > 0, got "
                          f"atol={atol!r}, rtol={rtol!r}")
-    if force_model not in FORCE_MODELS:
-        raise ValueError(f"unknown force model: {force_model!r} (one of "
-                         f"{', '.join(FORCE_MODELS)})")
+    check_force_model(force_model)
     position0 = np.asarray(initial[0], dtype=float)
     velocity0 = np.asarray(initial[1], dtype=float)
     if position0.shape != (3,) or velocity0.shape != (3,):
@@ -251,16 +250,19 @@ def exact_driven_position(spec: DrivenOscillatorSpec, t):
 
 
 def driven_steps(omega0: float, drive_frequency: float, t_end: float = None,
-                 drive_periods: int = None, steps_per_period: int = 64):
+                 drive_periods: int = None,
+                 steps_per_period: int = MIN_STEPS_PER_PERIOD):
     """(t_end, step count) of :func:`integrate_driven`.
 
-    The step divides the period of the fastest frequency present
-    (max(w_d, w0)) into at least ``steps_per_period`` pieces.  Give the
-    duration either directly (``t_end``) or as a number of drive periods.
-    The count is a whole float, inf where it passes the float range.
+    The step divides the period of the fastest frequency (max(w_d, w0))
+    into at least ``steps_per_period`` >= ``MIN_STEPS_PER_PERIOD`` pieces.
+    The duration is ``t_end`` or a number of drive periods.  The count is
+    a whole float, inf where it passes the float range.
     """
     if (t_end is None) == (drive_periods is None):
         raise ValueError("specify exactly one of t_end, drive_periods")
+    if steps_per_period < MIN_STEPS_PER_PERIOD:
+        raise ValueError(f"need steps_per_period >= {MIN_STEPS_PER_PERIOD}")
     if drive_periods is not None:
         t_end = drive_periods * 2.0 * np.pi / drive_frequency
     h = (2.0 * np.pi / max(drive_frequency, omega0)) / steps_per_period
@@ -269,18 +271,17 @@ def driven_steps(omega0: float, drive_frequency: float, t_end: float = None,
 
 def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
                      drive_periods: int = None,
-                     steps_per_period: int = 64) -> TrajectoryRecord:
+                     steps_per_period: int = MIN_STEPS_PER_PERIOD
+                     ) -> TrajectoryRecord:
     """Fixed-step integration of the driven oscillator over the steps of
-    :func:`driven_steps` (``steps_per_period`` >= 64), recorded at every
-    step.  Raises :class:`UnreachableScale` for w_d/w0 > 1e6.
+    :func:`driven_steps`, recorded at every step.  Raises
+    :class:`UnreachableScale` for w_d/w0 > 1e6.
     """
     ratio = spec.drive_frequency / spec.omega0
     if ratio > 1e6:
         raise UnreachableScale(
             f"w_d/w0 = {ratio:.3e} > 1e6; validate via the analytic "
             "steady state and its scaling law instead")
-    if steps_per_period < 64:
-        raise ValueError("steps_per_period must be at least 64")
     t_end, nsteps = driven_steps(spec.omega0, spec.drive_frequency, t_end,
                                  drive_periods, steps_per_period)
     nsteps = int(nsteps)

@@ -205,7 +205,7 @@ def test_stability_bad_range(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("steps", ["0", "-5"])
+@pytest.mark.parametrize("steps", ["0", "-5", "65537"])
 def test_stability_bad_steps_flag(tmp_path, capsys, steps):
     out = tmp_path / "out"
     assert main(["stability", str(MG24), "--a", "0:0.2:0.1",
@@ -215,7 +215,7 @@ def test_stability_bad_steps_flag(tmp_path, capsys, steps):
     assert not (out / "stability.csv").exists()
 
 
-@pytest.mark.parametrize("steps", ["abc", 0.5, 0])
+@pytest.mark.parametrize("steps", ["abc", 0.5, 0, 65537])
 def test_stability_bad_config_steps(tmp_path, capsys, mg24_config, steps):
     cfg = copy.deepcopy(mg24_config)
     cfg["scan"]["monodromy_steps"] = steps
@@ -527,6 +527,8 @@ def _full(cfg, **options):
                  id="t_end_s-rows"),
     pytest.param(lambda cfg: _full(cfg, samples=10**15),
                  "simulate.options.samples", id="samples-rows"),
+    pytest.param(lambda cfg: _full(cfg, samples=10**400),
+                 "simulate.options.samples", id="samples-past-float-range"),
     pytest.param(lambda cfg: _full(cfg, method="DOP853"),
                  "unknown key: simulate.options.method", id="method"),
 ])

@@ -74,6 +74,12 @@ def test_nonfinite_rejected():
         parse_config(variant(environment__temperature_K=float("nan")))
     with pytest.raises(ConfigError, match="finite"):
         parse_config(variant(laser__detuning_2pi_GHz=float("inf")))
+    # integers past the float range: a scalar and a curvature element
+    with pytest.raises(ConfigError, match="ion.mass_u must be finite"):
+        parse_config(variant(ion__mass_u=10 ** 400))
+    with pytest.raises(ConfigError, match="static.curvatures_2pi_kHz_squared"):
+        parse_config(variant(static__curvatures_2pi_kHz_squared=[
+            0.0, 10 ** 400, 0.0]))
 
 
 def test_missing_required_key():
@@ -153,3 +159,8 @@ def test_load_config_file(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(bad)
+    # nesting past the recursion limit; an integer past int()'s digit limit
+    for text in ("[" * 100_000, "1" + "0" * 5000):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(bad)
