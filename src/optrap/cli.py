@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import check_full_span, load_config, scan_request
-from .dynamics import (DEFAULT_SAMPLES, DrivenOscillatorSpec,
-                       dominant_frequency, integrate_driven, integrate_full)
+from .dynamics import (DrivenOscillatorSpec, dominant_frequency,
+                       integrate_driven, integrate_full)
 from .errors import ConfigError, FrequencyRangeWarning, PhysicsError
 from .mathieu_floquet import MAX_HALF_STEPS, stability_scan
 from .reporting import build_report, render_text
@@ -96,7 +96,7 @@ def run_simulate(args) -> int:
         raise ConfigError("config has no simulate block")
     if sim["mode"] == "full":
         check_full_span(parsed.setup, sim["t_end_s"],
-                        sim["options"].get("samples", DEFAULT_SAMPLES))
+                        sim["options"]["samples"])
         # the option keys are integrate_full's keyword names, and its
         # defaults apply to every option the config leaves out
         record = integrate_full(parsed.setup, sim["initial"], sim["t_end_s"],

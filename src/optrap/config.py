@@ -46,7 +46,6 @@ class ParsedConfig:
     """A validated configuration converted to SI."""
 
     setup: TrapSetup
-    beam_spec_mode: str            # "power" or "depth"
     blackbody_prefactor: float
     # {} when absent; "initial" a (pos, vel) pair; a driven block adds
     # "spec" (the SI DrivenOscillatorSpec fields) and "run"
@@ -227,7 +226,7 @@ def parse_config(raw: dict) -> ParsedConfig:
     if scan:
         scan_request(scan)
 
-    mode, key = ("power", "power_mW") if has_power else ("depth", "depth_mK")
+    key = "power_mW" if has_power else "depth_mK"
     literal = _number(laser_cfg, key, "laser", minimum=0.0, strict_min=True)
     with _model_checks("transition.wavelength_nm", "laser.waist_um"):
         unit_beam = LaserBeam(wavelength=wavelength, waist_radius=waist,
@@ -249,13 +248,13 @@ def parse_config(raw: dict) -> ParsedConfig:
             power = power_for_depth(unit_setup, units.joule_from_mk(literal))
     with _model_checks(f"laser.{key}"):
         setup = replace(unit_setup, beam=replace(unit_beam, power=power))
-    return ParsedConfig(setup=setup, beam_spec_mode=mode,
-                        blackbody_prefactor=prefactor,
+    return ParsedConfig(setup=setup, blackbody_prefactor=prefactor,
                         simulate=simulate, scan=scan, raw=raw)
 
 
 def _validate_simulate(sim: dict, ion: IonSpecies) -> dict:
-    """Check a simulate block; fill in "options" and "initial"."""
+    """Check a simulate block; fill in "options" (a full block's
+    "samples" too) and "initial"."""
     _check_keys(sim, {"mode", "initial", "t_end_s", "options"}, "simulate")
     mode = sim.get("mode")
     if mode not in ("full", "driven"):
@@ -269,16 +268,21 @@ def _validate_simulate(sim: dict, ion: IonSpecies) -> dict:
         _check_keys(options, _SIM_FULL_OPTION_KEYS, path)
         initial = tuple(_vector3(initial, key, "simulate.initial")
                         for key in keys)
-        _number(sim, "t_end_s", "simulate", minimum=0.0, strict_min=True)
+        t_end = _number(sim, "t_end_s", "simulate", minimum=0.0,
+                        strict_min=True)
         if "force_model" in options:
             with _model_checks(f"{path}.force_model"):
                 check_force_model(options["force_model"])
         _number(options, "rtol", path, required=False, minimum=0.0,
                 strict_min=True)
         _number(options, "atol", path, required=False, minimum=MIN_ATOL)
-        if "samples" in options:
-            _check_rows(_integer(options["samples"], f"{path}.samples", 2),
-                        f"{path}.samples")
+        options = {"samples": DEFAULT_SAMPLES, **options}
+        samples = _integer(options["samples"], f"{path}.samples", 2)
+        _check_rows(samples, f"{path}.samples")
+        # a normal spacing makes the sample times strictly increasing
+        if t_end / (samples - 1) < sys.float_info.min:
+            raise ConfigError(f"simulate.t_end_s / {path}.samples: sample "
+                              f"spacing below {sys.float_info.min:g} s")
         if not isinstance(options.get("include_radiation_pressure", True),
                           bool):
             raise ConfigError(f"{path}.include_radiation_pressure must be "

@@ -123,7 +123,7 @@ def mean_force_at(setup: TrapSetup, position,
     return MeanForce(dipolar=dip, radiation_pressure=rp)
 
 
-def _scattering_rate(setup: TrapSetup, s):
+def _scattering_rate(setup: TrapSetup, s: float) -> float:
     """Scattering rate Gamma_sc = (Gamma/delta) V_eff/hbar = Gamma s / 2,
     1/s, given s.  Valid at low saturation and far detuning: it warns
     when s > 0.1 or |delta| is not large against Gamma/2."""
@@ -132,7 +132,7 @@ def _scattering_rate(setup: TrapSetup, s):
     if abs(delta) < 5.0 * gamma:
         warnings.warn("scattering-rate formula assumes |delta| >> Gamma/2",
                       SaturationValidityWarning, stacklevel=2)
-    if (np.asarray(s) > 0.1).any():
+    if s > 0.1:
         warnings.warn("saturation above 0.1: low-saturation scattering "
                       "formula is inaccurate", SaturationValidityWarning,
                       stacklevel=2)

@@ -122,10 +122,10 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     conservative-only runs.  Static curvatures contribute their restoring
     force and potential.
 
-    Raises :class:`EscapedTrap` past 100 waists and :class:`StepFailure`
-    if the tolerances cannot be met; ``ValueError``, before integrating,
-    for ``atol`` below ``MIN_ATOL``, ``rtol`` <= 0 or a ``force_model``
-    outside ``FORCE_MODELS``.
+    Raises :class:`EscapedTrap` past 100 waists (at t = 0 for a start
+    there) and :class:`StepFailure` if the tolerances cannot be met;
+    ``ValueError``, before integrating, for ``atol`` below ``MIN_ATOL``,
+    ``rtol`` <= 0 or a ``force_model`` outside ``FORCE_MODELS``.
     """
     if not (atol >= MIN_ATOL and rtol > 0):
         raise ValueError(f"need atol >= {MIN_ATOL:g} and rtol > 0, got "
@@ -161,9 +161,15 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     escaped.terminal = True
     escaped.direction = 1.0
 
-    sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([position0, velocity0]),
-                    method="DOP853", rtol=rtol, atol=atol,
-                    t_eval=np.linspace(0.0, t_end, samples), events=escaped)
+    y0 = np.concatenate([position0, velocity0])
+    # the event fires only on an outward crossing, so a start past it is
+    # refused here (far out the force can be NaN and the solver hangs)
+    if escaped(0.0, y0) >= 0:
+        raise EscapedTrap(f"ion beyond {ESCAPE_RADIUS_WAISTS:g} waists at "
+                          "t = 0 s")
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol,
+                    atol=atol, t_eval=np.linspace(0.0, t_end, samples),
+                    events=escaped)
     if sol.status == 1:
         raise EscapedTrap(f"ion beyond {ESCAPE_RADIUS_WAISTS:g} waists at "
                           f"t = {sol.t_events[0][0]:.3e} s")
@@ -217,16 +223,13 @@ class DrivenSolution:
 
     steady_amplitude: float      # Q E / (M (w_d^2 - w0^2)), m (signed)
     drive_kinetic_energy: float  # time-averaged KE of the drive motion, J
-    secular_amplitude: float     # homogeneous-component amplitude, m
-    drive_frequency: float       # rad/s
 
 
 def analytic_driven_solution(spec: DrivenOscillatorSpec) -> DrivenSolution:
-    """Exact steady state and secular amplitude for the given initial data.
+    """Exact steady state of the driven oscillator.
 
     The particular solution is x_p(t) = -A cos(w_d t) with
-    A = Q E / (M (w_d^2 - w0^2)); the remaining homogeneous motion has
-    amplitude sqrt((x0 + A)^2 + (v0/w0)^2).  The time-averaged kinetic
+    A = Q E / (M (w_d^2 - w0^2)).  The time-averaged kinetic
     energy of the drive component is M A^2 w_d^2 / 4, which for
     w_d >> w0 is exactly half of (Q A_vec)^2/(2M) with A_vec = E/w_d.
     """
@@ -235,9 +238,7 @@ def analytic_driven_solution(spec: DrivenOscillatorSpec) -> DrivenSolution:
     return DrivenSolution(
         steady_amplitude=float(amp),
         drive_kinetic_energy=float(spec.mass * amp ** 2
-                                   * spec.drive_frequency ** 2 / 4.0),
-        secular_amplitude=float(np.hypot(spec.x0 + amp, spec.v0 / spec.omega0)),
-        drive_frequency=spec.drive_frequency)
+                                   * spec.drive_frequency ** 2 / 4.0))
 
 
 def exact_driven_position(spec: DrivenOscillatorSpec, t):
@@ -311,20 +312,19 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
                             potential_energy=pot, metadata=meta)
 
 
-def steady_drive_amplitude(record: TrajectoryRecord, drive_frequency: float,
-                           periods: int = None) -> float:
+def steady_drive_amplitude(record: TrajectoryRecord,
+                           drive_frequency: float) -> float:
     """Amplitude of the -cos(w_d t) quadrature over whole drive periods.
 
     Projects the sampled positions onto cos(w_d t) over an integer number
-    of drive periods (the largest that fits unless given), which isolates
+    of drive periods (the largest that fits), which isolates
     the steady drive response when the secular component is negligible or
     averages out.
     """
     period = 2.0 * np.pi / drive_frequency
     dt = record.times[1] - record.times[0]
     per_period = period / dt
-    if periods is None:
-        periods = int(np.floor((record.times[-1] - record.times[0]) / period))
+    periods = int(np.floor((record.times[-1] - record.times[0]) / period))
     n = int(round(periods * per_period))
     if n < 2 or n > len(record.times) - 1:
         raise ValueError("trajectory does not cover the requested periods")
@@ -337,8 +337,8 @@ def steady_drive_amplitude(record: TrajectoryRecord, drive_frequency: float,
 # equilibrium shift and frequency estimation
 # ---------------------------------------------------------------------------
 
-def equilibrium_shift(setup: TrapSetup, include_radiation_pressure: bool = True,
-                      xtol: float = 1e-12) -> float:
+def equilibrium_shift(setup: TrapSetup,
+                      include_radiation_pressure: bool = True) -> float:
     """Axial displacement of the equilibrium due to radiation pressure, m.
 
     Solves total axial force = 0 (dipole + radiation pressure + static
@@ -366,7 +366,7 @@ def equilibrium_shift(setup: TrapSetup, include_radiation_pressure: bool = True,
     previous = 0.0
     for z in grid:
         if axial_force(z) <= 0.0:
-            return float(bisect(axial_force, previous, z, xtol=xtol))
+            return float(bisect(axial_force, previous, z, xtol=1e-12))
         previous = z
     raise NoRoot("no axial force equilibrium within one Rayleigh range; "
                  "radiation pressure exceeds the available restoring force")

@@ -64,14 +64,10 @@ class IonSpecies:
                    total_charge=charge_e * CONST.e_charge)
 
     @property
-    def core_mass(self) -> float:
-        """m_n = M - m_e, kg."""
-        return self.total_mass - CONST.m_electron
-
-    @property
     def reduced_mass(self) -> float:
-        """mu = m_e m_n / M, kg."""
-        return CONST.m_electron * self.core_mass / self.total_mass
+        """mu = m_e m_n / M with the core mass m_n = M - m_e, kg."""
+        return CONST.m_electron * (self.total_mass - CONST.m_electron) \
+            / self.total_mass
 
     @property
     def effective_dipole_charge(self) -> float:

@@ -16,27 +16,16 @@ from .mathieu_floquet import (AXIS_NAMES, micromotion_ratio_optical,
                               optical_mathieu_params)
 from .units import format_sig, mk_from_joule, two_pi_hz_from_rad_s
 
-# published orders for the reference experiment's hierarchy, 2pi x Hz
+# symbol and published order (2pi x Hz) of each reference hierarchy scale
 REFERENCE_FREQUENCY_ORDERS = {
-    "omega0": 1e5,
-    "recoil": 1e5,
-    "linewidth": 4e7,
-    "depth_rate": 1e9,
-    "rabi": 3e10,
-    "abs_detuning": 3e11,
-    "omega_laser": 1e15,
-    "omega_transition": 1e15,
-}
-
-_PRETTY = {
-    "omega0": "omega_0",
-    "recoil": "E_rec/hbar",
-    "linewidth": "Gamma",
-    "depth_rate": "U_0/hbar",
-    "rabi": "Omega",
-    "abs_detuning": "|delta|",
-    "omega_laser": "omega_L",
-    "omega_transition": "omega_eg",
+    "omega0": ("omega_0", 1e5),
+    "recoil": ("E_rec/hbar", 1e5),
+    "linewidth": ("Gamma", 4e7),
+    "depth_rate": ("U_0/hbar", 1e9),
+    "rabi": ("Omega", 3e10),
+    "abs_detuning": ("|delta|", 3e11),
+    "omega_laser": ("omega_L", 1e15),
+    "omega_transition": ("omega_eg", 1e15),
 }
 
 
@@ -45,7 +34,7 @@ def build_report(parsed: ParsedConfig) -> dict:
     setup = parsed.setup
     summary = trap_summary(setup)
     if summary.depth == float("inf"):
-        key = "power_mW" if parsed.beam_spec_mode == "power" else "depth_mK"
+        key = "power_mW" if "power_mW" in parsed.raw["laser"] else "depth_mK"
         raise PhysicsError(f"laser.{key} is too large: the trap depth overflows")
     if not 0.0 < summary.omega0 < float("inf"):
         raise PhysicsError("no axis has a positive finite secular frequency "
@@ -56,12 +45,13 @@ def build_report(parsed: ParsedConfig) -> dict:
 
     hierarchy = []
     for name, value in summary.hierarchy:
+        symbol, order = REFERENCE_FREQUENCY_ORDERS[name]
         hierarchy.append({
             "name": name,
-            "symbol": _PRETTY[name],
+            "symbol": symbol,
             "rad_s": float(value),
             "two_pi_hz": float(two_pi_hz_from_rad_s(value)),
-            "paper_order_2pi_hz": REFERENCE_FREQUENCY_ORDERS[name],
+            "paper_order_2pi_hz": order,
         })
 
     mathieu_rows = []

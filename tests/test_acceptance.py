@@ -48,7 +48,7 @@ def test_criterion_1_table_i_hierarchy(mg):
 
     within_decade = all(
         abs(np.log10(rows[name]["two_pi_hz"] / order)) <= 1.0
-        for name, order in REFERENCE_FREQUENCY_ORDERS.items())
+        for name, (_symbol, order) in REFERENCE_FREQUENCY_ORDERS.items())
     recoil = rows["recoil"]["two_pi_hz"]
     depth_rate = rows["depth_rate"]["two_pi_hz"]
     rabi = rows["rabi"]["two_pi_hz"]

@@ -506,8 +506,10 @@ def _driven(cfg, t_end_s=None, **options):
     return cfg
 
 
-def _full(cfg, **options):
+def _full(cfg, t_end_s=None, **options):
     cfg["simulate"]["options"].update(options)
+    if t_end_s is not None:
+        cfg["simulate"]["t_end_s"] = t_end_s
     return cfg
 
 
@@ -531,6 +533,14 @@ def _full(cfg, **options):
                  "simulate.options.samples", id="samples-past-float-range"),
     pytest.param(lambda cfg: _full(cfg, method="DOP853"),
                  "unknown key: simulate.options.method", id="method"),
+    # samples closer than the smallest normal float; at 1e-318 over 32,769
+    # samples the grid happens to increase, but the rule refuses it too
+    pytest.param(lambda cfg: _full(cfg, t_end_s=5e-324),
+                 "simulate.t_end_s / simulate.options.samples",
+                 id="t_end_s-subnormal"),
+    pytest.param(lambda cfg: _full(cfg, t_end_s=1e-318, samples=32769),
+                 "simulate.t_end_s / simulate.options.samples",
+                 id="sample-spacing-subnormal"),
 ])
 def test_simulate_block_refused_when_read(tmp_path, capsys, mg24_config,
                                           change, named):
@@ -643,21 +653,38 @@ def test_motionless_x_prints_nan_and_one_warning(tmp_path, mg24_config):
     assert all(row.split(",")[1] == "0" for row in rows)
 
 
+def test_start_beyond_escape_radius_exits_3(tmp_path, mg24_config):
+    # the force at 1e300 m is NaN, and the escape event never crosses
+    mg24_config["simulate"]["initial"]["position_m"] = [1e300, 0.0, 0.0]
+    config = write_config(tmp_path, mg24_config)
+    out = tmp_path / "out"
+    proc = _run_cli_process(tmp_path, "-m", "optrap.cli", "simulate",
+                            str(config), "--out-dir", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == "physics error: ion beyond 100 waists at t = 0 s\n"
+    assert not out.exists()
+
+
 # a refused command prints its one error line and none of the warnings
 # raised on the way to it
-@pytest.mark.parametrize("args,error", [
-    pytest.param(["report", "{config}"],
+@pytest.mark.parametrize("args,beam,error", [
+    pytest.param(["report", "{config}"], {"depth_mK": 1e300},
                  "physics error: laser.depth_mK is too large: the trap depth "
                  "overflows\n", id="report-depth-overflow"),
+    pytest.param(["report", "{config}"], {"power_mW": 1e300},
+                 "physics error: laser.power_mW is too large: the trap depth "
+                 "overflows\n", id="report-power-overflow"),
     pytest.param(["stability", str(MG24), "--a=1e200:1e200:1", "--q=0:0:1",
-                  "--steps", "1"],
+                  "--steps", "1"], {"depth_mK": 1e300},
                  "physics error: monodromy matrix overflows: |a| or |q| is "
                  "too large to integrate over one period\n",
                  id="stability-overflow"),
 ])
-def test_refused_command_prints_one_line(tmp_path, mg24_config, args, error):
+def test_refused_command_prints_one_line(tmp_path, mg24_config, args, beam,
+                                         error):
     mg24_config["transition"]["wavelength_nm"] = 1e-30
-    mg24_config["laser"]["depth_mK"] = 1e300
+    del mg24_config["laser"]["depth_mK"]
+    mg24_config["laser"].update(beam)
     config = str(write_config(tmp_path, mg24_config))
     out = tmp_path / "out"
     proc = _run_cli_process(tmp_path, "-m", "optrap.cli",

@@ -43,7 +43,6 @@ def test_parse_reference():
     from optrap import effective_potential_at
     depth = abs(effective_potential_at(setup, (0, 0, 0), mode="low_sat"))
     assert depth == pytest.approx(CONST.kB * 50e-3, rel=1e-12)
-    assert parsed.beam_spec_mode == "depth"
 
 
 def test_unknown_keys_rejected_by_name():
@@ -63,7 +62,6 @@ def test_exactly_one_power_spec():
     both = variant(laser__power_mW=100.0)
     del both["laser"]["depth_mK"]
     parsed = parse_config(both)
-    assert parsed.beam_spec_mode == "power"
     assert parsed.setup.beam.power == pytest.approx(0.1)
     with pytest.raises(ConfigError, match="exactly one"):
         parse_config(variant(laser__depth_mK=...))

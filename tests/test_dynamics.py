@@ -118,6 +118,15 @@ def test_escape_raises(mg_setup):
                        5e-3, samples=201)
 
 
+def test_start_beyond_escape_radius_raises(mg_setup):
+    # ~1,400 waists out: the escape event fires only on an outward
+    # crossing, so the start itself is refused
+    with pytest.warns(InitialConditionWarning), \
+            pytest.raises(EscapedTrap, match="at t = 0 s"):
+        integrate_full(mg_setup, ((1e-2, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                       1e-6, include_radiation_pressure=False, samples=11)
+
+
 def test_initial_condition_warning(mg_setup):
     # 6 waists out transversally: optical force is negligible there
     with pytest.warns(InitialConditionWarning):
