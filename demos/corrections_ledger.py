@@ -9,7 +9,9 @@ published order-of-magnitude estimates, and shows what switching the
 charge off does.
 """
 
-from optrap import IonSpecies, corrections_table, setup_from_beam
+from dataclasses import replace
+
+from optrap import IonSpecies, corrections_table
 from optrap.config import load_config
 
 parsed = load_config("demos/mg24.json")
@@ -30,9 +32,7 @@ print("\nsnippet of the CSV serialization:")
 print("\n".join(ledger.to_csv_text().splitlines()[:3]))
 
 # neutral-atom limit: the charge-tagged entries vanish, the rest persist
-neutral = setup_from_beam(
-    IonSpecies.from_amu(24.0, 0.0), setup.beam, setup.transition.linewidth,
-    static_curvatures=setup.static_curvatures, temperature=setup.temperature)
+neutral = replace(setup, ion=IonSpecies.from_amu(24.0, 0.0))
 neutral_ledger = corrections_table(neutral)
 print("\nwith the charge switched off (Q = 0):")
 for entry in neutral_ledger.entries:

@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`optrap.model` — domain types (ion, transition, beam, setup) and
+* :mod:`optrap.model` — domain types (ion, beam, setup) and
   Gaussian-beam field and saturation evaluation;
 * :mod:`optrap.dipole_trap` — mean force, effective potential, scattering,
   trap depth/frequencies, confinement and the frequency hierarchy;
@@ -18,9 +18,8 @@ Library layout:
 
 from .constants import CONST, PhysicalConstants
 from .model import (FieldAmplitudes, IonSpecies, LaserBeam, TrapSetup,
-                    Transition, field_amplitudes_at, intensity_at,
-                    intensity_gradient_at, rabi_frequency_at, saturation_at,
-                    setup_from_beam)
+                    field_amplitudes_at, intensity_at, intensity_gradient_at,
+                    rabi_frequency_at, saturation_at)
 from .dipole_trap import (MeanForce, TrapSummary, dipole_force_at,
                           effective_potential_at, mean_force_at,
                           power_for_depth, recoil_energy, trap_depth,

@@ -76,11 +76,11 @@ def multipole_ratios(setup: TrapSetup) -> MultipoleRatios:
     the out-of-phase dipole component contributes.  P is sqrt(2 M U0),
     the momentum of an ion at the full trap depth.
     """
-    kr = setup.beam.wavenumber * setup.transition.characteristic_size
+    kr = setup.beam.wavenumber * setup.characteristic_size
     omega = rabi_frequency_at(setup, FOCUS)
     mass = setup.ion.total_mass
     p_depth = np.sqrt(2.0 * mass * trap_depth(setup))
-    phase_factor = setup.transition.linewidth / abs(setup.beam.detuning)
+    phase_factor = setup.linewidth / abs(setup.beam.detuning)
     return MultipoleRatios(
         kr=float(kr),
         quadrupole_amplitude=float(kr * omega / setup.beam.omega_laser),
@@ -118,7 +118,7 @@ def relativistic_ratios(setup: TrapSetup) -> RelativisticRatios:
     spin_flip = (g_e * CONST.bohr_magneton * amps.magnetic
                  / (2.0 * CONST.hbar * setup.beam.omega_laser)) ** 2
     spin_orbit = CONST.fine_structure_alpha ** 2 / 4.0
-    d = setup.transition.dipole_moment
+    d = setup.dipole_moment
     shift = (d * amps.magnetic) ** 2 / (8.0 * setup.ion.reduced_mass * CONST.hbar)
     return RelativisticRatios(spin_flip_probability=float(spin_flip),
                               spin_orbit_ratio=float(spin_orbit),
@@ -190,7 +190,7 @@ def corrections_table(setup: TrapSetup,
                            f"depth is {depth:g} J")
     ion = setup.ion
     qeff_ratio = (CONST.m_electron * abs(ion.total_charge)
-                  / (ion.total_mass * abs(ion.valence_electron_charge)))
+                  / (ion.total_mass * CONST.e_charge))
     mono = monopole_drive(setup)
     multi = multipole_ratios(setup)
     rel = relativistic_ratios(setup)

@@ -10,11 +10,11 @@ Exit codes: 0 success, 2 configuration error, 3 physics/numerical error.
 A refused command prints only its error line; a successful one then
 prints each warning to stderr as one line, ``warning: <Category>: <message>``.
 Outputs are deterministic: identical configs give byte-identical files
-(no timestamps; floats rendered by fixed rules).  Files are written
-atomically (temp + rename).  ``TRAP_FLOAT_DIGITS`` (default 9) sets the
-significant digits of report.txt and of the dominant frequency that
-``simulate`` prints; the CSVs are pinned (9 digits, 12 for the trajectory)
-and JSON always keeps full precision.
+(no timestamps; floats rendered by fixed rules).  A command writes all
+its files (temp + rename) or none.  ``TRAP_FLOAT_DIGITS`` (default 9)
+sets the significant digits of report.txt and of the dominant frequency
+that ``simulate`` prints; the CSVs are pinned (9 digits, 12 for the
+trajectory) and JSON always keeps full precision.
 """
 
 import argparse
@@ -50,15 +50,27 @@ def _text_digits() -> int:
     return digits
 
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
+def _write_outputs(out_dir: str, files: dict) -> Path:
+    """Write ``files`` (name -> text) into ``out_dir`` whole or not at all:
+    no output path may be a directory, every temp file is written before
+    any is renamed, and a failed write or rename leaves no temp file."""
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in files:
+        if (out / name).is_dir():
+            raise ConfigError(f"output path {out / name} is a directory")
+    tmps = []
+    try:
+        for name, text in files.items():
+            tmps.append(out / (name + ".tmp"))
+            tmps[-1].write_text(text, encoding="utf-8")
+        for name, tmp in zip(files, tmps):
+            os.replace(tmp, out / name)
+    except OSError:
+        for tmp in tmps:
+            if tmp.is_file():
+                tmp.unlink()
+        raise
     return out
 
 
@@ -66,10 +78,9 @@ def run_report(args) -> int:
     digits = _text_digits()
     parsed = load_config(args.config)
     report = build_report(parsed)
-    out = _out_dir(args)
-    _atomic_write(out / "report.json",
-                  json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _atomic_write(out / "report.txt", render_text(report, digits))
+    out = _write_outputs(args.out_dir, {
+        "report.json": json.dumps(report, indent=2, sort_keys=True) + "\n",
+        "report.txt": render_text(report, digits)})
     print(f"wrote {out / 'report.json'} and {out / 'report.txt'}")
     return EXIT_OK
 
@@ -81,8 +92,7 @@ def run_stability(args) -> int:
 
     grid = stability_scan(a_range[:2], q_range[:2], (a_range[2], q_range[2]),
                           steps=steps)
-    out = _out_dir(args)
-    _atomic_write(out / "stability.csv", grid.to_csv_text())
+    out = _write_outputs(args.out_dir, {"stability.csv": grid.to_csv_text()})
     print(f"wrote {out / 'stability.csv'} "
           f"({len(grid.a_values)}x{len(grid.q_values)} points)")
     return EXIT_OK
@@ -112,8 +122,7 @@ def run_simulate(args) -> int:
     if np.isnan(freq):
         warnings.warn("x(t) does not move: the dominant frequency of the x "
                       "component is nan", FrequencyRangeWarning)
-    out = _out_dir(args)
-    _atomic_write(out / "trajectory.csv", record.to_csv_text())
+    out = _write_outputs(args.out_dir, {"trajectory.csv": record.to_csv_text()})
     print(f"final_total_energy_J={format_sig(record.total_energy[-1], 12)} "
           f"dominant_frequency_rad_s={format_sig(freq, digits)} "
           f"samples={len(record.times)}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, FrequencyRangeWarning
-from .model import IonSpecies, LaserBeam, TrapSetup, setup_from_beam
+from .model import IonSpecies, LaserBeam, TrapSetup
 from .dipole_trap import check_force_model, power_for_depth, secular_curvatures
 from .dynamics import (DEFAULT_SAMPLES, MIN_ATOL, MIN_STEPS_PER_PERIOD,
                        driven_steps)
@@ -234,9 +234,9 @@ def parse_config(raw: dict) -> ParsedConfig:
     with _model_checks("transition.wavelength_nm",
                        "transition.linewidth_2pi_MHz", "laser.detuning_2pi_GHz",
                        "static.curvatures_2pi_kHz_squared"):
-        unit_setup = setup_from_beam(ion, unit_beam, linewidth,
-                                     static_curvatures=curvatures,
-                                     temperature=temperature)
+        unit_setup = TrapSetup(ion, unit_beam, linewidth,
+                               static_curvatures=curvatures,
+                               temperature=temperature)
     if has_power:
         power = units.watt_from_mw(literal)
     elif detuning >= 0:

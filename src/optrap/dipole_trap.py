@@ -116,7 +116,7 @@ def mean_force_at(setup: TrapSetup, position,
     check_force_model(mode)
     s = saturation_at(setup, position)
     dip = _dipole_force(setup, position, s if mode == "exact_log" else 0.0)
-    gamma = setup.transition.linewidth
+    gamma = setup.linewidth
     k = setup.beam.wavenumber
     mag = 0.5 * CONST.hbar * gamma * (s / (1.0 + s)) * k
     rp = np.multiply.outer(mag, (0.0, 0.0, 1.0))    # along the beam, +z
@@ -127,7 +127,7 @@ def _scattering_rate(setup: TrapSetup, s: float) -> float:
     """Scattering rate Gamma_sc = (Gamma/delta) V_eff/hbar = Gamma s / 2,
     1/s, given s.  Valid at low saturation and far detuning: it warns
     when s > 0.1 or |delta| is not large against Gamma/2."""
-    gamma = setup.transition.linewidth
+    gamma = setup.linewidth
     delta = setup.beam.detuning
     if abs(delta) < 5.0 * gamma:
         warnings.warn("scattering-rate formula assumes |delta| >> Gamma/2",
@@ -192,12 +192,12 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
     scales = [
         ("omega0", omega0),
         ("recoil", e_rec / CONST.hbar),
-        ("linewidth", setup.transition.linewidth),
+        ("linewidth", setup.linewidth),
         ("depth_rate", depth / CONST.hbar),
         ("rabi", rabi_frequency_at(setup, FOCUS)),
         ("abs_detuning", abs(setup.beam.detuning)),
         ("omega_laser", setup.beam.omega_laser),
-        ("omega_transition", setup.transition.omega_eg),
+        ("omega_transition", setup.omega_eg),
     ]
     hierarchy = tuple(sorted(scales, key=lambda item: item[1]))
 

@@ -337,19 +337,15 @@ def steady_drive_amplitude(record: TrajectoryRecord,
 # equilibrium shift and frequency estimation
 # ---------------------------------------------------------------------------
 
-def equilibrium_shift(setup: TrapSetup,
-                      include_radiation_pressure: bool = True) -> float:
+def equilibrium_shift(setup: TrapSetup) -> float:
     """Axial displacement of the equilibrium due to radiation pressure, m.
 
     Solves total axial force = 0 (dipole + radiation pressure + static
     restoring) by bracketed bisection within one Rayleigh range of the
-    focus.  Without radiation pressure the equilibrium is the focus
-    itself.  Raises :class:`NoRoot` when radiation pressure exceeds the
+    focus.  Raises :class:`NoRoot` when radiation pressure exceeds the
     maximum restoring force inside +-zR (the ion is not axially trapped,
     as happens for a weak purely optical axial confinement).
     """
-    if not include_radiation_pressure:
-        return 0.0
     from scipy.optimize import bisect
     axial_curv = setup.static_curvatures[2]
     mass = setup.ion.total_mass

@@ -1,9 +1,9 @@
 """Domain types and Gaussian-beam field evaluation.
 
 The trapped particle is a hydrogen-like ion: a core of mass m_n and charge
-q_n plus one valence electron (m_e, q_e < 0), with total mass M and total
+q_n plus one valence electron (m_e, q_e = -e), with total mass M and total
 charge Q = q_n + q_e.  A single focused TEM00 travelling wave drives a
-closed optical dipole transition at omega_eg with natural linewidth Gamma.
+closed dipole transition at omega_eg = omega_L - delta with linewidth Gamma.
 
 Everything in this module is a pure function of immutable inputs and works
 in strict SI units, angular frequencies in rad/s.  Positions are measured
@@ -33,7 +33,7 @@ FOCUS = (0.0, 0.0, 0.0)                  # positions are measured from it
 
 @dataclass(frozen=True)
 class IonSpecies:
-    """A hydrogen-like ion with one valence electron.
+    """A hydrogen-like ion with one valence electron of charge q_e = -e.
 
     Parameters
     ----------
@@ -41,19 +41,14 @@ class IonSpecies:
         M, kg.
     total_charge : float
         Q, C.  Zero reproduces the neutral-atom limit; sign is kept.
-    valence_electron_charge : float
-        q_e, C, negative by convention.
     """
 
     total_mass: float
     total_charge: float = 0.0
-    valence_electron_charge: float = -CONST.e_charge
 
     def __post_init__(self):
         if not self.total_mass > CONST.m_electron:
             raise ValueError("total mass must exceed the electron mass")
-        if not self.valence_electron_charge < 0:
-            raise ValueError("valence electron charge must be negative")
         if not self.total_charge ** 2 < np.inf:  # the Larmor rate needs Q^2
             raise ValueError("total charge squared overflows")
 
@@ -75,64 +70,24 @@ class IonSpecies:
 
         The net charge drags the centre of mass along with the internal
         oscillation, renormalising the dipole coupling charge.  For Q = 0
-        this is exactly |q_e|.
+        this is exactly |q_e| = e.
         """
-        return abs(self.valence_electron_charge) + \
+        return CONST.e_charge + \
             (CONST.m_electron / self.total_mass) * self.total_charge
-
-
-@dataclass(frozen=True)
-class Transition:
-    """A closed optical dipole transition of the valence electron.
-
-    The dipole matrix element is always derived from the linewidth via the
-    spontaneous-emission relation d = sqrt(3 pi eps0 hbar c^3 Gamma /
-    omega_eg^3); it is never user-supplied, which keeps Gamma and d
-    consistent by construction.
-    """
-
-    omega_eg: float      # rad/s
-    linewidth: float     # Gamma, rad/s
-
-    def __post_init__(self):
-        if not 0 < self.omega_eg < np.inf:
-            raise ValueError("omega_eg must be positive and finite")
-        if not self.linewidth > 0:
-            raise ValueError("linewidth must be positive")
-        if not self.linewidth / self.omega_eg < 1e-3:
-            raise ValueError("Gamma/omega_eg >= 1e-3: not an optical "
-                             "two-level regime")
-
-    @property
-    def dipole_moment(self) -> float:
-        """Transition dipole d, C m."""
-        return float(np.sqrt(3.0 * np.pi * CONST.eps0 * CONST.hbar
-                             * CONST.c ** 3 * self.linewidth
-                             / self.omega_eg ** 3))
-
-    @property
-    def characteristic_size(self) -> float:
-        """r = d/|q_e| with the elementary valence charge, m.
-
-        Sets the multipole expansion parameter k*r (~1e-3 for a typical
-        ultraviolet transition).
-        """
-        return self.dipole_moment / CONST.e_charge
 
 
 @dataclass(frozen=True)
 class LaserBeam:
     """A focused TEM00 travelling wave of total power ``power``.
 
-    The power is required (the ``None`` default raises); the focus
-    intensity follows as I0 = 2P/(pi w0^2).  The detuning is signed,
-    delta = omega_L - omega_eg, with red detuning negative.
+    The focus intensity follows as I0 = 2P/(pi w0^2).  The detuning is
+    signed, delta = omega_L - omega_eg, with red detuning negative.
     """
 
     wavelength: float            # m
     waist_radius: float          # w0, m
     detuning: float              # delta, rad/s
-    power: float = None          # P, W
+    power: float                 # P, W
 
     def __post_init__(self):
         if not self.wavelength > 0:
@@ -142,8 +97,8 @@ class LaserBeam:
                              "(paraxial TEM00 validity)")
         if not self.rayleigh_range ** 2 < np.inf:  # axial frequency needs zR^2
             raise ValueError("Rayleigh range squared overflows")
-        if self.power is None or not self.power >= 0:
-            raise ValueError("beam power must be given and non-negative")
+        if not self.power >= 0:
+            raise ValueError("beam power must be non-negative")
 
     @property
     def omega_laser(self) -> float:
@@ -170,6 +125,10 @@ class LaserBeam:
 class TrapSetup:
     """The single input record for all analyses.
 
+    The beam drives a closed dipole transition of natural linewidth Gamma
+    at omega_eg = omega_L - delta; the dipole moment d follows from Gamma
+    by the spontaneous-emission relation, so the two always agree.
+
     static_curvatures are signed squared angular frequencies (rad/s)^2 per
     axis: x, y (transverse), then z (the propagation axis).  Negative
     entries describe anti-confining static fields.  The Laplace sum
@@ -178,46 +137,58 @@ class TrapSetup:
     """
 
     ion: IonSpecies
-    transition: Transition
     beam: LaserBeam
+    linewidth: float             # Gamma, rad/s
     static_curvatures: tuple = (0.0, 0.0, 0.0)
     temperature: float = 300.0   # K, environment (blackbody bath)
 
     def __post_init__(self):
+        if not 0 < self.omega_eg < np.inf:
+            raise ValueError("omega_eg must be positive and finite")
+        if not self.linewidth > 0:
+            raise ValueError("linewidth must be positive")
+        if not self.linewidth / self.omega_eg < 1e-3:
+            raise ValueError("Gamma/omega_eg >= 1e-3: not an optical "
+                             "two-level regime")
         if not self.temperature >= 0:
             raise ValueError("temperature must be non-negative")
         cur = np.asarray(self.static_curvatures, dtype=float)
         if cur.shape != (3,) or not np.isfinite(cur).all():
             raise ValueError("static_curvatures must be a finite 3-vector")
         object.__setattr__(self, "static_curvatures", tuple(float(v) for v in cur))
-        # laser frequency, transition frequency and detuning must agree
-        mismatch = self.beam.omega_laser - self.transition.omega_eg - self.beam.detuning
-        if abs(mismatch) > 1e-6 * self.transition.omega_eg:
-            raise ValueError("inconsistent beam/transition: omega_L - omega_eg "
-                             f"differs from detuning by {mismatch:g} rad/s")
+
+    @property
+    def omega_eg(self) -> float:
+        """omega_eg = omega_L - delta, rad/s."""
+        return self.beam.omega_laser - self.beam.detuning
+
+    @property
+    def dipole_moment(self) -> float:
+        """d = sqrt(3 pi eps0 hbar c^3 Gamma / omega_eg^3), C m."""
+        return float(np.sqrt(3.0 * np.pi * CONST.eps0 * CONST.hbar
+                             * CONST.c ** 3 * self.linewidth
+                             / self.omega_eg ** 3))
+
+    @property
+    def characteristic_size(self) -> float:
+        """r = d/|q_e| = d/e, m.
+
+        Sets the multipole expansion parameter k*r (~1e-3 for a typical
+        ultraviolet transition).
+        """
+        return self.dipole_moment / CONST.e_charge
 
     @cached_property
     def effective_dipole_moment(self) -> float:
         """d_eff = (q_eff/|q_e|) d, C m (charge-corrected dipole coupling)."""
-        scale = self.ion.effective_dipole_charge / abs(self.ion.valence_electron_charge)
-        return scale * self.transition.dipole_moment
+        scale = self.ion.effective_dipole_charge / CONST.e_charge
+        return scale * self.dipole_moment
 
     @cached_property
     def saturation_at_focus(self) -> float:
         """s0 = s(focus), kept once computed; the depth, the optical
         curvatures and s0/I0 all follow from it."""
         return saturation_at(self, FOCUS)
-
-
-def setup_from_beam(ion: IonSpecies, beam: LaserBeam, linewidth: float,
-                    static_curvatures=(0.0, 0.0, 0.0),
-                    temperature: float = 300.0) -> TrapSetup:
-    """Assemble a TrapSetup, deriving omega_eg from the beam and detuning."""
-    transition = Transition(omega_eg=beam.omega_laser - beam.detuning,
-                            linewidth=linewidth)
-    return TrapSetup(ion=ion, transition=transition, beam=beam,
-                     static_curvatures=static_curvatures,
-                     temperature=temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -292,5 +263,5 @@ def saturation_at(setup: TrapSetup, position):
     """Saturation parameter s(R) = (Omega^2/2) / (delta^2 + Gamma^2/4)."""
     omega = rabi_frequency_at(setup, position)
     delta = setup.beam.detuning
-    gamma = setup.transition.linewidth
+    gamma = setup.linewidth
     return 0.5 * (omega * omega) / (delta ** 2 + 0.25 * gamma ** 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from optrap import IonSpecies, LaserBeam, power_for_depth, setup_from_beam
+from optrap import IonSpecies, LaserBeam, TrapSetup, power_for_depth
 from optrap.constants import CONST
 
 # reference trap: 24Mg+, 280 nm laser, waist 7 um, detuning -2pi x 300 GHz,
@@ -20,7 +20,7 @@ def _reference_power(charge_e=1.0) -> float:
     ion = IonSpecies.from_amu(MASS_U, charge_e)
     probe = LaserBeam(wavelength=WAVELENGTH, waist_radius=WAIST,
                       detuning=DETUNING, power=1.0)
-    return power_for_depth(setup_from_beam(ion, probe, LINEWIDTH), DEPTH)
+    return power_for_depth(TrapSetup(ion, probe, LINEWIDTH), DEPTH)
 
 
 # beam power giving exactly kB x 50 mK weak-drive depth for the Q = +e ion
@@ -33,8 +33,8 @@ def make_reference_setup(charge_e=1.0, power=None, static=(0.0, 0.0, 0.0),
     beam = LaserBeam(wavelength=WAVELENGTH, waist_radius=WAIST,
                      detuning=DETUNING,
                      power=REFERENCE_POWER if power is None else power)
-    return setup_from_beam(ion, beam, LINEWIDTH, static_curvatures=static,
-                           temperature=temperature)
+    return TrapSetup(ion, beam, LINEWIDTH, static_curvatures=static,
+                     temperature=temperature)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from optrap import (IonSpecies, DrivenOscillatorSpec,
                     dominant_frequency, effective_potential_at, heating_rate,
                     integrate_driven, integrate_full, mathieu_monodromy,
                     mean_force_at, mean_occupation, monodromy_stability,
-                    monopole_drive, optical_mathieu_params, setup_from_beam,
+                    monopole_drive, optical_mathieu_params,
                     steady_drive_amplitude, trap_summary)
 from optrap.cli import main
 from optrap.config import load_config
@@ -104,11 +104,7 @@ def test_criterion_4_monopole_micromotion_energy(mg):
     drive = monopole_drive(mg.setup)
     temp_nk = drive.equivalent_temperature * 1e9
     beam = mg.setup.beam
-    doubled = setup_from_beam(mg.setup.ion,
-                              replace(beam, power=2.0 * beam.power),
-                              mg.setup.transition.linewidth,
-                              static_curvatures=mg.setup.static_curvatures,
-                              temperature=mg.setup.temperature)
+    doubled = replace(mg.setup, beam=replace(beam, power=2.0 * beam.power))
     ratio_drift = abs(monopole_drive(doubled).ratio_to_depth
                       / drive.ratio_to_depth - 1.0)
     ok = abs(temp_nk - 1.4) <= 0.5 and ratio_drift <= 1e-9
@@ -188,14 +184,10 @@ def test_criterion_7_blackbody(mg):
     nbar_ok = abs(nbar - 6.2e7) / 6.2e7 <= 0.02
 
     base = heating_rate(mg.setup, TWO_PI * 1e5)
-    setup2q = setup_from_beam(
-        IonSpecies.from_amu(24.0, 2.0), mg.setup.beam,
-        mg.setup.transition.linewidth, temperature=mg.setup.temperature)
+    setup2q = replace(mg.setup, ion=IonSpecies.from_amu(24.0, 2.0))
     q_exact = heating_rate(setup2q, TWO_PI * 1e5).heating_rate \
         == pytest.approx(4 * base.heating_rate, rel=1e-14)
-    hot = setup_from_beam(
-        mg.setup.ion, mg.setup.beam, mg.setup.transition.linewidth,
-        temperature=600.0)
+    hot = replace(mg.setup, temperature=600.0)
     t_linear = heating_rate(hot, TWO_PI * 1e5).heating_rate \
         == pytest.approx(2 * base.heating_rate, rel=1e-6)
 

@@ -92,17 +92,17 @@ def test_multipole_long_wavelength_limit(mg_setup):
     # k -> 0 at fixed dipole size: scale the wavelength x10 and adjust
     # Gamma ~ omega_eg^3 so d (hence r_char) stays put; kr then falls as
     # 1/lambda and the octupole ratio as 1/lambda^2
-    from optrap import LaserBeam, setup_from_beam
+    from optrap import LaserBeam, TrapSetup
     beam = LaserBeam(wavelength=10 * mg_setup.beam.wavelength,
                      waist_radius=10 * mg_setup.beam.waist_radius,
                      detuning=mg_setup.beam.detuning,
                      power=mg_setup.beam.power)
     omega_eg_scaled = beam.omega_laser - beam.detuning
-    gamma_scaled = mg_setup.transition.linewidth * (
-        omega_eg_scaled / mg_setup.transition.omega_eg) ** 3
-    long_wl = setup_from_beam(mg_setup.ion, beam, gamma_scaled)
-    assert long_wl.transition.dipole_moment == pytest.approx(
-        mg_setup.transition.dipole_moment, rel=1e-12)
+    gamma_scaled = mg_setup.linewidth * (
+        omega_eg_scaled / mg_setup.omega_eg) ** 3
+    long_wl = TrapSetup(mg_setup.ion, beam, gamma_scaled)
+    assert long_wl.dipole_moment == pytest.approx(
+        mg_setup.dipole_moment, rel=1e-12)
     near = multipole_ratios(mg_setup)
     far = multipole_ratios(long_wl)
     assert far.kr == pytest.approx(near.kr / 10, rel=1e-12)

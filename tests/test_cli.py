@@ -171,6 +171,23 @@ def test_bad_float_digits_writes_nothing(tmp_path, monkeypatch, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_failed_write_leaves_nothing(tmp_path, monkeypatch, capsys):
+    # report.txt's temp file cannot be written: report.json's temp file,
+    # already written, is removed and neither output is renamed into place
+    real = Path.write_text
+
+    def write_text(self, text, **kwargs):
+        if self.name == "report.txt.tmp":
+            raise OSError("no space left")
+        return real(self, text, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    out = tmp_path / "out"
+    assert main(["report", str(MG24), "--out-dir", str(out)]) == 2
+    assert "no space left" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # stability
 # ---------------------------------------------------------------------------
@@ -448,6 +465,15 @@ def _out_dir_is_file(tmp_path, cfg, _):
     return ["report", str(MG24), "--out-dir", str(tmp_path / "taken")]
 
 
+def _output_is_directory(tmp_path, cfg, output):
+    command, name = output
+    (tmp_path / "out" / name).mkdir(parents=True)
+    if command == "simulate":   # a short driven run
+        _driven(cfg, drive_periods=2)
+    return [command, str(write_config(tmp_path, cfg)),
+            "--out-dir", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize("make,value,code,named", [
     *[pytest.param(_range_flag, text, 2, "--a", id=f"flag-{text}")
       for text in _BAD_RANGES],
@@ -480,6 +506,11 @@ def _out_dir_is_file(tmp_path, cfg, _):
     pytest.param(_config_not_utf8, None, 2, "cfg_utf16.json",
                  id="config-not-utf8"),
     pytest.param(_out_dir_is_file, None, 2, "taken", id="out-dir-is-file"),
+    # the other output files are not written either, nor any temp file
+    pytest.param(_output_is_directory, ("report", "report.txt"), 2,
+                 "report.txt", id="report-txt-is-dir"),
+    pytest.param(_output_is_directory, ("simulate", "trajectory.csv"), 2,
+                 "trajectory.csv", id="trajectory-csv-is-dir"),
 ])
 def test_bad_input_exits_2_or_3_and_writes_nothing(
         tmp_path, capsys, mg24_config, make, value, code, named):

@@ -37,7 +37,7 @@ def test_parse_reference():
     assert setup.ion.total_mass == pytest.approx(24 * CONST.atomic_mass_unit)
     assert setup.beam.wavelength == pytest.approx(280e-9)
     assert setup.beam.detuning == pytest.approx(-2 * np.pi * 300e9)
-    assert setup.transition.linewidth == pytest.approx(2 * np.pi * 40e6)
+    assert setup.linewidth == pytest.approx(2 * np.pi * 40e6)
     assert setup.static_curvatures[2] == pytest.approx((2 * np.pi * 45e3) ** 2)
     # depth anchor inverted to power: kB x 50 mK reproduced exactly
     from optrap import effective_potential_at

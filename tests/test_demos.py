@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion against the current library."""
+"""Every narrative demo, and the README quickstart, runs to completion
+against the current library."""
 
 import os
 import shutil
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-DEMOS = sorted((REPO / "demos").glob("*.py"))
+README = REPO / "README.md"
+DEMOS = sorted((REPO / "demos").glob("*.py")) + [README]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -18,6 +20,11 @@ def test_demo_runs(tmp_path, demo):
     # write their files (stability_demo.csv/.png) into it
     (tmp_path / "demos").mkdir()
     shutil.copy(REPO / "demos" / "mg24.json", tmp_path / "demos")
+    if demo == README:   # its one ```python block, the library quickstart
+        text = README.read_text(encoding="utf-8")
+        demo = tmp_path / "quickstart.py"
+        demo.write_text(text.split("```python\n")[1].split("```")[0],
+                        encoding="utf-8")
     env = dict(os.environ, MPLBACKEND="Agg",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(REPO / "src"),

