@@ -9,7 +9,7 @@ these traps.
 
 import numpy as np
 
-from optrap import heating_rate, mean_occupation
+from optrap import CONST, heating_rate, mean_occupation
 from optrap.config import load_config
 
 setup = load_config("demos/mg24.json").setup
@@ -28,9 +28,9 @@ for f_khz in (10, 100, 1000):
           f"{est.heating_rate:.3e} 1/s, timescale {est.heating_timescale:.2e} s"
           f" ({est.heating_timescale / 86400.0:.0f} days)")
 
-est = heating_rate(setup, 2 * np.pi * 1e5)
+omega0 = 2 * np.pi * 1e5
 print(f"\nhbar omega0 / kB at 2pi x 100 kHz: "
-      f"{est.motional_temperature_equivalent * 1e6:.2f} uK "
+      f"{CONST.hbar * omega0 / CONST.kB * 1e6:.2f} uK "
       "(a few microkelvin, so the bath occupation is deep in the "
       "Rayleigh-Jeans regime)")
 print("the published estimate for this setup is ~1e-7 Hz; the plain "

@@ -15,11 +15,13 @@ Two complementary views:
    exponent 2.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from optrap import (DrivenOscillatorSpec, analytic_driven_solution,
-                    integrate_driven, micromotion_ratio_optical,
-                    monodromy_stability, steady_drive_amplitude)
+from optrap import (DrivenOscillatorSpec, integrate_driven,
+                    micromotion_ratio_optical, monodromy_stability,
+                    steady_drive_amplitude)
 from optrap.config import load_config
 
 print("Floquet micromotion ratio vs |q|/2 (a = 2|q|, the optical line)")
@@ -44,14 +46,11 @@ ratios, rel_amps = [], []
 for ratio in (10.0, 100.0, 1000.0):
     spec = DrivenOscillatorSpec(
         omega0=omega0, drive_frequency=ratio * omega0, charge=charge,
-        field_amplitude=field, mass=mass,
-        x0=-analytic_driven_solution(
-            DrivenOscillatorSpec(omega0=omega0, drive_frequency=ratio * omega0,
-                                 charge=charge, field_amplitude=field,
-                                 mass=mass)).steady_amplitude)
+        field_amplitude=field, mass=mass)
+    spec = replace(spec, x0=-spec.steady_amplitude)
     record = integrate_driven(spec, drive_periods=64)
     amp = steady_drive_amplitude(record, spec.drive_frequency)
-    exact = analytic_driven_solution(spec).steady_amplitude
+    exact = spec.steady_amplitude
     ratios.append(ratio)
     rel_amps.append(abs(amp) / static_response)
     print(f"  w_d/w0 = {ratio:6.0f}: numeric {amp:.6e} m, "

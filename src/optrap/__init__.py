@@ -34,11 +34,10 @@ from .mathieu_floquet import (FloquetResult, MathieuParams, StabilityScan,
                               monodromy_stability, optical_mathieu_params,
                               stability_scan)
 from .blackbody import HeatingEstimate, heating_rate, mean_occupation
-from .dynamics import (DrivenOscillatorSpec, DrivenSolution, TrajectoryRecord,
-                       analytic_driven_solution, dominant_frequency,
-                       equilibrium_shift, exact_driven_position,
-                       integrate_driven, integrate_full,
-                       steady_drive_amplitude)
+from .dynamics import (DrivenOscillatorSpec, TrajectoryRecord,
+                       dominant_frequency, equilibrium_shift,
+                       exact_driven_position, integrate_driven,
+                       integrate_full, steady_drive_amplitude)
 from . import errors
 
 __version__ = "0.1.0"

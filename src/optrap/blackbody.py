@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONST
-from .errors import FrequencyRangeWarning
+from .errors import FrequencyRangeWarning, PhysicsError
 from .model import TrapSetup
 
 RECOMMENDED_RANGE = (2.0 * np.pi * 10e3, 2.0 * np.pi * 1e6)  # rad/s
@@ -59,7 +59,6 @@ class HeatingEstimate:
     larmor_rate: float                    # 1/s
     heating_rate: float                   # Gamma', 1/s
     heating_timescale: float              # 1/Gamma', s (inf for neutrals)
-    motional_temperature_equivalent: float  # hbar omega0 / kB, K
     flags: tuple = ()
 
 
@@ -69,7 +68,8 @@ def heating_rate(setup: TrapSetup, omega0: float,
 
     Outside the recommended 2pi x (10 kHz .. 1 MHz) band the estimate is
     still returned, flagged and with a :class:`FrequencyRangeWarning`.
-    A neutral particle (Q = 0) decouples: rate 0, flagged.
+    A neutral particle (Q = 0) decouples: rate 0, flagged.  Raises
+    :class:`PhysicsError` when a charged ion's rate is not finite.
     """
     flags = []
     if not (RECOMMENDED_RANGE[0] <= omega0 <= RECOMMENDED_RANGE[1]):
@@ -88,10 +88,13 @@ def heating_rate(setup: TrapSetup, omega0: float,
         larmor = larmor_emission_rate(charge, setup.ion.total_mass, omega0,
                                       prefactor_multiplier)
         rate = larmor * nbar
+        if not np.isfinite(rate):
+            raise PhysicsError(
+                f"the blackbody heating rate at omega0 = {omega0:.4g} rad/s "
+                f"and T = {setup.temperature:.4g} K is not finite")
     return HeatingEstimate(
         mean_occupation=nbar,
         larmor_rate=float(larmor),
         heating_rate=float(rate),
         heating_timescale=float(1.0 / rate) if rate > 0 else float("inf"),
-        motional_temperature_equivalent=CONST.hbar * omega0 / CONST.kB,
         flags=tuple(flags))

@@ -104,9 +104,10 @@ def run_simulate(args) -> int:
     sim = parsed.simulate
     if not sim:
         raise ConfigError("config has no simulate block")
+    aliased = False
     if sim["mode"] == "full":
-        check_full_span(parsed.setup, sim["t_end_s"],
-                        sim["options"]["samples"])
+        aliased = check_full_span(parsed.setup, sim["t_end_s"],
+                                  sim["options"]["samples"])
         # the option keys are integrate_full's keyword names, and its
         # defaults apply to every option the config leaves out
         record = integrate_full(parsed.setup, sim["initial"], sim["t_end_s"],
@@ -118,10 +119,15 @@ def run_simulate(args) -> int:
     if not all(np.isfinite(series).all() for series in (
             record.positions, record.velocities, record.total_energy)):
         raise PhysicsError("the trajectory leaves the float range")
-    freq = dominant_frequency(record.times, record.positions[:, 0])
-    if np.isnan(freq):
+    x = record.positions[:, 0]
+    freq = dominant_frequency(record.times, x)
+    if x.min() == x.max():
         warnings.warn("x(t) does not move: the dominant frequency of the x "
                       "component is nan", FrequencyRangeWarning)
+    elif np.isnan(freq) and not aliased:
+        warnings.warn("x(t) spans fewer than two cycles: the dominant "
+                      "frequency of the x component is nan",
+                      FrequencyRangeWarning)
     out = _write_outputs(args.out_dir, {"trajectory.csv": record.to_csv_text()})
     print(f"final_total_energy_J={format_sig(record.total_energy[-1], 12)} "
           f"dominant_frequency_rad_s={format_sig(freq, digits)} "

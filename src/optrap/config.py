@@ -47,21 +47,23 @@ class ParsedConfig:
 
     setup: TrapSetup
     blackbody_prefactor: float
-    # {} when absent; "initial" a (pos, vel) pair; a driven block adds
-    # "spec" (the SI DrivenOscillatorSpec fields) and "run"
-    # (integrate_driven's keyword arguments)
+    # {} when absent; a full block with "initial" a (pos, vel) pair; a
+    # driven block is "mode", "spec" (the SI DrivenOscillatorSpec fields)
+    # and "run" (integrate_driven's keyword arguments)
     simulate: dict
     scan: dict                     # {} when absent
     raw: dict                      # the config exactly as read (echoed in reports)
 
 
-def _section(cfg: dict, name: str, required=False, path="") -> dict:
+def _section(cfg: dict, name: str, keys, required=False, path="") -> dict:
+    """The object ``cfg[name]`` ({} when absent), every key in ``keys``."""
     if name not in cfg:
         if required:
             raise ConfigError(f"missing section: {name}")
         return {}
     if not isinstance(cfg[name], dict):
         raise ConfigError(f"section {path}{name} must be an object")
+    _check_keys(cfg[name], keys, path + name)
     return cfg[name]
 
 
@@ -128,9 +130,8 @@ def scan_request(block: dict, a: str = None, q: str = None,
     ``--a``/``--q``/``--steps`` values where given, else the scan block.
     Each (min, max, step) obeys :func:`~optrap.mathieu_floquet.grid_count`,
     the grid has at most ``MAX_SCAN_CELLS`` cells, and a step count is an
-    integer from 1 to ``MAX_HALF_STEPS`` (None: the scan's default)."""
-    _check_keys(block, {"a_min", "a_max", "a_step", "q_min", "q_max",
-                        "q_step", "monodromy_steps"}, "scan")
+    integer from 1 to ``MAX_HALF_STEPS`` (None: the scan's default).
+    ``block`` is a checked scan section (:attr:`ParsedConfig.scan`)."""
     axes, cells = [], 1
     for axis, flag in (("a", a), ("q", q)):
         if flag is not None:
@@ -176,23 +177,21 @@ def parse_config(raw: dict) -> ParsedConfig:
     _check_keys(raw, {"ion", "transition", "laser", "static", "environment",
                       "blackbody", "simulate", "scan"}, "config")
 
-    ion_cfg = _section(raw, "ion", required=True)
-    _check_keys(ion_cfg, {"mass_u", "charge_e"}, "ion")
+    ion_cfg = _section(raw, "ion", {"mass_u", "charge_e"}, required=True)
     mass_u = _number(ion_cfg, "mass_u", "ion")
     charge_e = _number(ion_cfg, "charge_e", "ion")
     with _model_checks("ion.mass_u", "ion.charge_e"):
         ion = IonSpecies.from_amu(mass_u, charge_e)
 
-    tr_cfg = _section(raw, "transition", required=True)
-    _check_keys(tr_cfg, {"wavelength_nm", "linewidth_2pi_MHz"}, "transition")
+    tr_cfg = _section(raw, "transition", {"wavelength_nm",
+                                          "linewidth_2pi_MHz"}, required=True)
     wavelength = units.metre_from_nm(
         _number(tr_cfg, "wavelength_nm", "transition"))
     linewidth = units.rad_s_from_2pi_mhz(
         _number(tr_cfg, "linewidth_2pi_MHz", "transition"))
 
-    laser_cfg = _section(raw, "laser", required=True)
-    _check_keys(laser_cfg, {"waist_um", "detuning_2pi_GHz", "power_mW",
-                            "depth_mK"}, "laser")
+    laser_cfg = _section(raw, "laser", {"waist_um", "detuning_2pi_GHz",
+                                        "power_mW", "depth_mK"}, required=True)
     waist = units.metre_from_um(
         _number(laser_cfg, "waist_um", "laser"))
     detuning = units.rad_s_from_2pi_ghz(
@@ -202,27 +201,26 @@ def parse_config(raw: dict) -> ParsedConfig:
     if has_power == has_depth:
         raise ConfigError("laser needs exactly one of power_mW, depth_mK")
 
-    static_cfg = _section(raw, "static")
-    _check_keys(static_cfg, {"curvatures_2pi_kHz_squared"}, "static")
+    static_cfg = _section(raw, "static", {"curvatures_2pi_kHz_squared"})
     curvatures = tuple(units.curvature_from_2pi_khz_sq(v) for v in _vector3(
         static_cfg, "curvatures_2pi_kHz_squared", "static"))
 
-    env_cfg = _section(raw, "environment")
-    _check_keys(env_cfg, {"temperature_K"}, "environment")
+    env_cfg = _section(raw, "environment", {"temperature_K"})
     temperature = _number(env_cfg, "temperature_K", "environment",
                           required=False, default=300.0, minimum=0.0)
 
-    bb_cfg = _section(raw, "blackbody")
-    _check_keys(bb_cfg, {"prefactor_multiplier"}, "blackbody")
+    bb_cfg = _section(raw, "blackbody", {"prefactor_multiplier"})
     prefactor = _number(bb_cfg, "prefactor_multiplier", "blackbody",
                         required=False, default=1.0, minimum=0.0,
                         strict_min=True)
 
-    simulate = _section(raw, "simulate")
+    simulate = _section(raw, "simulate",
+                        {"mode", "initial", "t_end_s", "options"})
     if simulate:
         simulate = _validate_simulate(simulate, ion)
 
-    scan = _section(raw, "scan")
+    scan = _section(raw, "scan", {"a_min", "a_max", "a_step", "q_min",
+                                  "q_max", "q_step", "monodromy_steps"})
     if scan:
         scan_request(scan)
 
@@ -253,19 +251,17 @@ def parse_config(raw: dict) -> ParsedConfig:
 
 
 def _validate_simulate(sim: dict, ion: IonSpecies) -> dict:
-    """Check a simulate block; fill in "options" (a full block's
-    "samples" too) and "initial"."""
-    _check_keys(sim, {"mode", "initial", "t_end_s", "options"}, "simulate")
+    """Check a simulate block: a full one gets "samples" in "options" and a
+    (pos, vel) "initial"; a driven one becomes "mode", "spec" and "run"."""
     mode = sim.get("mode")
     if mode not in ("full", "driven"):
         raise ConfigError("simulate.mode must be 'full' or 'driven'")
-    options = _section(sim, "options", path="simulate.")
-    initial = _section(sim, "initial", path="simulate.")
+    options = _section(sim, "options", _SIM_FULL_OPTION_KEYS if mode == "full"
+                       else _SIM_DRIVEN_OPTION_KEYS, path="simulate.")
     keys = ("position_m", "velocity_m_s")
-    _check_keys(initial, keys, "simulate.initial")
+    initial = _section(sim, "initial", keys, path="simulate.")
     path = "simulate.options"
     if mode == "full":
-        _check_keys(options, _SIM_FULL_OPTION_KEYS, path)
         initial = tuple(_vector3(initial, key, "simulate.initial")
                         for key in keys)
         t_end = _number(sim, "t_end_s", "simulate", minimum=0.0,
@@ -288,7 +284,6 @@ def _validate_simulate(sim: dict, ion: IonSpecies) -> dict:
             raise ConfigError(f"{path}.include_radiation_pressure must be "
                               "true or false")
     else:
-        _check_keys(options, _SIM_DRIVEN_OPTION_KEYS, path)
         # 1-D driven motion: scalar initial conditions
         initial = tuple(_number(initial, key, "simulate.initial",
                                 required=False, default=0.0) for key in keys)
@@ -330,7 +325,7 @@ def _validate_simulate(sim: dict, ion: IonSpecies) -> dict:
         _check_rows(steps + 1, " / ".join(durations + [
             f"{path}.steps_per_period", f"{path}.omega0_2pi_kHz",
             f"{path}.drive_ratio"]))
-        return {**sim, "options": options, "initial": initial, "run": run,
+        return {"mode": mode, "run": run,
                 "spec": {"omega0": omega0, "drive_frequency": drive,
                          "charge": ion.total_charge, "mass": ion.total_mass,
                          "field_amplitude": field, "x0": initial[0],
@@ -342,9 +337,10 @@ def check_full_span(setup: TrapSetup, t_end: float,
                     samples: int = DEFAULT_SAMPLES):
     """Refuse a full-mode span past ``MAX_FULL_PERIODS`` periods of the
     fastest real secular frequency omega; warn if ``samples`` alias it (are
-    pi/omega or more apart).  Without one (an unconfined ion escapes) or
-    past the float range, the run's physics checks decide.  Only `trap
-    simulate` runs it: a report on the same trap stays valid."""
+    pi/omega or more apart) and return whether it warned.  Without one (an
+    unconfined ion escapes) or past the float range, the run's physics
+    checks decide.  Only `trap simulate` runs it: a report on the same
+    trap stays valid."""
     omega_sq = max(secular_curvatures(setup))
     if 0.0 < omega_sq < math.inf:
         omega = math.sqrt(omega_sq)
@@ -362,6 +358,8 @@ def check_full_span(setup: TrapSetup, t_end: float,
                 f"for the fastest secular frequency ({omega:.4g} rad/s); "
                 "the dominant frequency is aliased",
                 FrequencyRangeWarning, stacklevel=2)
+            return True
+    return False
 
 
 def _check_rows(rows, keys: str):

@@ -181,12 +181,9 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     kin = 0.5 * mass * np.sum(vel ** 2, axis=-1)
     pot = effective_potential_at(setup, pos, mode=force_model) \
         + _static_potential(setup, pos)
-    meta = {"integrator": "DOP853", "rtol": rtol, "atol": atol,
-            "force_model": force_model,
-            "radiation_pressure": include_radiation_pressure}
     return TrajectoryRecord(times=sol.t, positions=pos, velocities=vel,
                             kinetic_energy=kin, potential_energy=pot,
-                            metadata=meta)
+                            metadata={"integrator": "DOP853"})
 
 
 # ---------------------------------------------------------------------------
@@ -216,34 +213,25 @@ class DrivenOscillatorSpec:
             raise Resonance("drive within 0.1% of the secular frequency; "
                             "no steady state separable from the transient")
 
+    @property
+    def steady_amplitude(self) -> float:
+        """Signed amplitude A = Q E / (M (w_d^2 - w0^2)) of the exact
+        steady state x_p(t) = -A cos(w_d t), m."""
+        return float(self.charge * self.field_amplitude / (
+            self.mass * (self.drive_frequency ** 2 - self.omega0 ** 2)))
 
-@dataclass(frozen=True)
-class DrivenSolution:
-    """Closed-form steady state of the driven oscillator."""
-
-    steady_amplitude: float      # Q E / (M (w_d^2 - w0^2)), m (signed)
-    drive_kinetic_energy: float  # time-averaged KE of the drive motion, J
-
-
-def analytic_driven_solution(spec: DrivenOscillatorSpec) -> DrivenSolution:
-    """Exact steady state of the driven oscillator.
-
-    The particular solution is x_p(t) = -A cos(w_d t) with
-    A = Q E / (M (w_d^2 - w0^2)).  The time-averaged kinetic
-    energy of the drive component is M A^2 w_d^2 / 4, which for
-    w_d >> w0 is exactly half of (Q A_vec)^2/(2M) with A_vec = E/w_d.
-    """
-    amp = spec.charge * spec.field_amplitude / (
-        spec.mass * (spec.drive_frequency ** 2 - spec.omega0 ** 2))
-    return DrivenSolution(
-        steady_amplitude=float(amp),
-        drive_kinetic_energy=float(spec.mass * amp ** 2
-                                   * spec.drive_frequency ** 2 / 4.0))
+    @property
+    def drive_kinetic_energy(self) -> float:
+        """Time-averaged kinetic energy M A^2 w_d^2 / 4 of the drive motion,
+        J; for w_d >> w0 exactly half of (Q A_vec)^2/(2M) with
+        A_vec = E/w_d."""
+        return float(self.mass * self.steady_amplitude ** 2
+                     * self.drive_frequency ** 2 / 4.0)
 
 
 def exact_driven_position(spec: DrivenOscillatorSpec, t):
     """Full closed-form solution x(t) for the spec's initial conditions."""
-    amp = analytic_driven_solution(spec).steady_amplitude
+    amp = spec.steady_amplitude
     xh0 = spec.x0 + amp          # x - x_p at t = 0
     return (-amp * np.cos(spec.drive_frequency * t)
             + xh0 * np.cos(spec.omega0 * t)
@@ -305,11 +293,10 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
     # an energy past the float range is inf; the CLI refuses the run
     kin = 0.5 * spec.mass * vs ** 2
     pot = 0.5 * spec.mass * w0_sq * xs ** 2
-    meta = {"integrator": "rk8-fixed", "steps_per_period": steps_per_period,
-            "step": h, "drive_ratio": ratio}
     return TrajectoryRecord(times=ts, positions=positions,
                             velocities=velocities, kinetic_energy=kin,
-                            potential_energy=pot, metadata=meta)
+                            potential_energy=pot,
+                            metadata={"integrator": "rk8-fixed"})
 
 
 def steady_drive_amplitude(record: TrajectoryRecord,
@@ -373,7 +360,8 @@ def dominant_frequency(times, values) -> float:
 
     FFT peak (Hann window) refined by maximising the windowed projection
     amplitude; accurate to ~1e-8 relative for clean tones over hundreds
-    of periods.  NaN if the signal does not move (all values equal).
+    of periods.  NaN if the signal does not move (all values equal) or
+    peaks in the lowest non-zero bin (fewer than about two cycles).
     """
     from scipy.optimize import minimize_scalar
     times = np.asarray(times, dtype=float)
@@ -385,6 +373,8 @@ def dominant_frequency(times, values) -> float:
     windowed = (values - values.mean()) * np.hanning(n)
     spectrum = np.abs(np.fft.rfft(windowed))
     peak = int(np.argmax(spectrum[1:])) + 1
+    if peak == 1:
+        return float("nan")
     bin_width = 2.0 * np.pi / (n * dt)
     seed = peak * bin_width
 

@@ -91,7 +91,7 @@ def build_report(parsed: ParsedConfig) -> dict:
             "larmor_rate_per_s": heating.larmor_rate,
             "heating_rate_per_s": heating.heating_rate,
             "heating_timescale_s": heating.heating_timescale,
-            "motional_temperature_K": heating.motional_temperature_equivalent,
+            "motional_temperature_K": summary.motional_temperature,
             "flags": list(heating.flags),
         },
         "mathieu": mathieu_rows,

@@ -53,8 +53,6 @@ def test_heating_rate_reference(mg_setup):
     assert est.heating_timescale > 1e7
     assert est.heating_timescale == pytest.approx(1 / est.heating_rate,
                                                   rel=1e-12)
-    assert est.motional_temperature_equivalent == pytest.approx(4.8e-6,
-                                                                rel=0.01)
 
 
 def test_heating_rate_charge_squared(mg_setup):

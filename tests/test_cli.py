@@ -314,13 +314,13 @@ def test_simulate_driven_q0_energy_and_amplitude(tmp_path, mg24_config):
 
 
 def test_simulate_driven_steady_amplitude(tmp_path, mg24_config):
-    from optrap import DrivenOscillatorSpec, analytic_driven_solution
+    from optrap import DrivenOscillatorSpec
     from optrap.constants import CONST
     omega0 = 2 * np.pi * 1e5
     probe = DrivenOscillatorSpec(
         omega0=omega0, drive_frequency=1000 * omega0, charge=CONST.e_charge,
         field_amplitude=1e6, mass=24 * CONST.atomic_mass_unit)
-    steady = analytic_driven_solution(probe).steady_amplitude
+    steady = probe.steady_amplitude
     cfg = copy.deepcopy(mg24_config)
     cfg["simulate"] = {
         "mode": "driven",
@@ -465,6 +465,12 @@ def _out_dir_is_file(tmp_path, cfg, _):
     return ["report", str(MG24), "--out-dir", str(tmp_path / "taken")]
 
 
+def _report_blackbody(tmp_path, cfg, values):
+    cfg["environment"]["temperature_K"] = values[0]
+    cfg["blackbody"]["prefactor_multiplier"] = values[1]
+    return ["report", str(write_config(tmp_path, cfg))]
+
+
 def _output_is_directory(tmp_path, cfg, output):
     command, name = output
     (tmp_path / "out" / name).mkdir(parents=True)
@@ -511,6 +517,11 @@ def _output_is_directory(tmp_path, cfg, output):
                  "report.txt", id="report-txt-is-dir"),
     pytest.param(_output_is_directory, ("simulate", "trajectory.csv"), 2,
                  "trajectory.csv", id="trajectory-csv-is-dir"),
+    # an infinite thermal occupation, or an infinite Larmor rate
+    pytest.param(_report_blackbody, (1.7e308, 1.0), 3,
+                 "blackbody heating rate", id="blackbody-occupation-overflow"),
+    pytest.param(_report_blackbody, (1e12, 1.7e308), 3,
+                 "blackbody heating rate", id="blackbody-prefactor-overflow"),
 ])
 def test_bad_input_exits_2_or_3_and_writes_nothing(
         tmp_path, capsys, mg24_config, make, value, code, named):
@@ -682,6 +693,28 @@ def test_motionless_x_prints_nan_and_one_warning(tmp_path, mg24_config):
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     assert len(rows) == 101
     assert all(row.split(",")[1] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("samples", [9, 101])
+def test_under_two_cycles_prints_nan_and_one_warning(tmp_path, capsys,
+                                                     mg24_config, samples):
+    from optrap.dynamics import integrate_full
+    # 5e-6 s is 0.95 periods of mg24's radial frequency (1.189e6 rad/s),
+    # and neither sample count aliases it
+    mg24_config["simulate"]["t_end_s"] = 5e-6
+    _full(mg24_config, samples=samples)
+    config = write_config(tmp_path, mg24_config)
+    assert main(["simulate", str(config), "--out-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert f"dominant_frequency_rad_s=nan samples={samples}" in out
+    assert err == ("warning: FrequencyRangeWarning: x(t) spans fewer than "
+                   "two cycles: the dominant frequency of the x component "
+                   "is nan\n")
+    parsed = parse_config(mg24_config)
+    sim = parsed.simulate
+    record = integrate_full(parsed.setup, sim["initial"], 5e-6,
+                            **sim["options"])
+    assert (tmp_path / "trajectory.csv").read_text() == record.to_csv_text()
 
 
 def test_start_beyond_escape_radius_exits_3(tmp_path, mg24_config):

@@ -1,15 +1,15 @@
 """Trajectory integration, the driven oscillator, equilibrium shift."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from optrap import (DrivenOscillatorSpec, analytic_driven_solution,
-                    dominant_frequency, equilibrium_shift,
-                    exact_driven_position, integrate_driven, integrate_full,
-                    mean_force_at, monopole_drive, steady_drive_amplitude,
-                    trap_summary)
+from optrap import (DrivenOscillatorSpec, dominant_frequency,
+                    equilibrium_shift, exact_driven_position,
+                    integrate_driven, integrate_full, mean_force_at,
+                    monopole_drive, steady_drive_amplitude, trap_summary)
 from optrap.errors import (EscapedTrap, InitialConditionWarning, NoRoot,
                            Resonance, UnreachableScale)
 
@@ -217,15 +217,14 @@ def make_spec(ratio, x0=None, v0=0.0, omega0=2 * np.pi * 1e5):
 
 def on_steady_state(ratio):
     """Spec starting exactly on the particular solution (no transient)."""
-    probe = make_spec(ratio)
-    amp = analytic_driven_solution(probe).steady_amplitude
-    return make_spec(ratio, x0=-amp)
+    spec = make_spec(ratio)
+    return replace(spec, x0=-spec.steady_amplitude)
 
 
 @pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
 def test_driven_matches_closed_form(ratio):
     # generic initial conditions: both secular and drive tones present
-    base = analytic_driven_solution(make_spec(ratio)).steady_amplitude
+    base = make_spec(ratio).steady_amplitude
     spec = make_spec(ratio, x0=1.7 * base, v0=0.3 * base * spec_omega0())
     record = integrate_driven(spec, drive_periods=64)
     exact = exact_driven_position(spec, record.times)
@@ -238,11 +237,22 @@ def spec_omega0():
 
 
 @pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
+def test_spec_closed_forms(ratio):
+    # the spec's properties are the closed forms, bit for bit
+    spec = make_spec(ratio)
+    charge, field, mass = spec.charge, spec.field_amplitude, spec.mass
+    wd, w0 = spec.drive_frequency, spec.omega0
+    amp = charge * field / (mass * (wd ** 2 - w0 ** 2))
+    assert spec.steady_amplitude == amp
+    assert spec.drive_kinetic_energy == mass * amp ** 2 * wd ** 2 / 4
+
+
+@pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
 def test_driven_steady_amplitude(ratio):
     spec = on_steady_state(ratio)
     record = integrate_driven(spec, drive_periods=64)
     numeric = steady_drive_amplitude(record, spec.drive_frequency)
-    exact = analytic_driven_solution(spec).steady_amplitude
+    exact = spec.steady_amplitude
     assert numeric == pytest.approx(exact, rel=1e-6)
 
 
@@ -288,20 +298,19 @@ def test_drive_kinetic_energy_vs_monopole(mg_setup):
         mass=mg_setup.ion.total_mass)
     with pytest.raises(UnreachableScale):
         integrate_driven(spec, drive_periods=1)
-    solution = analytic_driven_solution(spec)
     mono = monopole_drive(mg_setup)
-    assert solution.drive_kinetic_energy == pytest.approx(
+    assert spec.drive_kinetic_energy == pytest.approx(
         mono.drive_energy / 2, rel=1e-9)
     # amplitude ~ QE/(M w_L^2): hand evaluation gives 1.49e-19 m
-    assert abs(solution.steady_amplitude) == pytest.approx(1.488e-19,
-                                                           rel=1e-3)
+    assert abs(spec.steady_amplitude) == pytest.approx(1.488e-19,
+                                                       rel=1e-3)
     # drive kinetic energy scales with the squared field amplitude
     doubled_field = DrivenOscillatorSpec(
         omega0=omega0, drive_frequency=omega_l,
         charge=mg_setup.ion.total_charge,
         field_amplitude=2 * amps.electric, mass=mg_setup.ion.total_mass)
-    assert analytic_driven_solution(doubled_field).drive_kinetic_energy \
-        == pytest.approx(4 * solution.drive_kinetic_energy, rel=1e-12)
+    assert doubled_field.drive_kinetic_energy \
+        == pytest.approx(4 * spec.drive_kinetic_energy, rel=1e-12)
 
 
 def test_driven_zero_field():
@@ -309,13 +318,13 @@ def test_driven_zero_field():
     spec = DrivenOscillatorSpec(
         omega0=spec.omega0, drive_frequency=spec.drive_frequency,
         charge=spec.charge, field_amplitude=0.0, mass=spec.mass)
-    assert analytic_driven_solution(spec).steady_amplitude == 0.0
+    assert spec.steady_amplitude == 0.0
 
 
 def test_driven_high_frequency_limit():
     # w_d >> w0: amplitude -> QE/(M w_d^2) to O((w0/w_d)^2)
     spec = make_spec(1000.0)
-    amp = analytic_driven_solution(spec).steady_amplitude
+    amp = spec.steady_amplitude
     naive = spec.charge * spec.field_amplitude / (
         spec.mass * spec.drive_frequency ** 2)
     assert amp == pytest.approx(naive, rel=2e-6)
@@ -382,6 +391,19 @@ def test_dominant_frequency_of_a_motionless_signal_is_nan(level):
     # refinement on a flat objective would give a made-up frequency
     t = np.linspace(0.0, 5e-6, 101)
     assert np.isnan(dominant_frequency(t, np.full(101, level)))
+
+
+@pytest.mark.parametrize("cycles,samples", [(0.95, 101), (1.5, 101),
+                                            (0.95, 2), (0.95, 3), (0.95, 9)])
+def test_dominant_frequency_under_two_cycles_is_nan(cycles, samples):
+    # the peak sits in the lowest non-zero bin, so the estimate would be
+    # set by the span (~2 pi / t_end), not by the signal
+    omega = 1.189e6
+    t = np.linspace(0.0, cycles * 2 * np.pi / omega, samples)
+    assert np.isnan(dominant_frequency(t, np.cos(omega * t + 0.3)))
+    t = np.linspace(0.0, 2.5 * 2 * np.pi / omega, 101)
+    assert dominant_frequency(t, np.cos(omega * t + 0.3)) == pytest.approx(
+        omega, rel=0.01)
 
 
 # ---------------------------------------------------------------------------
