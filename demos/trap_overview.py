@@ -10,11 +10,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from optrap import (CONST, equilibrium_shift, field_amplitudes_at,
-                    mean_force_at, rabi_frequency_at, trap_summary)
+from optrap import CONST, equilibrium_shift, mean_force_at, trap_summary
 from optrap.config import load_config
 from optrap.errors import NoRoot
-from optrap.model import FOCUS
 
 parsed = load_config("demos/mg24.json")
 setup = parsed.setup
@@ -26,11 +24,11 @@ print(f"  wavenumber      {beam.wavenumber:.4e} 1/m")
 print(f"  omega_L         2pi x {beam.omega_laser / 2 / np.pi:.4e} Hz")
 print(f"  power           {beam.power * 1e3:.1f} mW for kB x 50 mK depth")
 
-amps = field_amplitudes_at(setup, FOCUS)
+amps = setup.focus_fields                # the focus chain, once per setup
 print("\nfields at the focus")
 print(f"  E_L = {amps.electric:.4e} V/m, B_L = {amps.magnetic:.4e} T, "
       f"A_L = {amps.vector_potential:.4e} T m")
-print(f"  Rabi frequency 2pi x {rabi_frequency_at(setup, FOCUS)/2/np.pi:.4e} Hz")
+print(f"  Rabi frequency 2pi x {setup.rabi_frequency/2/np.pi:.4e} Hz")
 
 summary = trap_summary(setup)
 print("\ntrap summary")

@@ -2,8 +2,9 @@
 
 Library layout:
 
-* :mod:`optrap.model` — domain types (ion, beam, setup) and
-  Gaussian-beam field and saturation evaluation;
+* :mod:`optrap.model` — domain types (ion, beam, setup and its focus
+  fields, Rabi frequency and saturation) and the Gaussian-beam intensity
+  and saturation evaluation;
 * :mod:`optrap.dipole_trap` — mean force, effective potential, scattering,
   trap depth/frequencies, confinement and the frequency hierarchy;
 * :mod:`optrap.charge_corrections` — the ledger of charge/multipole/
@@ -18,8 +19,7 @@ Library layout:
 
 from .constants import CONST, PhysicalConstants
 from .model import (FieldAmplitudes, IonSpecies, LaserBeam, TrapSetup,
-                    field_amplitudes_at, intensity_at, intensity_gradient_at,
-                    rabi_frequency_at, saturation_at)
+                    intensity_at, intensity_gradient_at, saturation_at)
 from .dipole_trap import (MeanForce, TrapSummary, dipole_force_at,
                           effective_potential_at, mean_force_at,
                           power_for_depth, recoil_energy, trap_depth,

@@ -24,8 +24,8 @@ import numpy as np
 
 from .constants import CONST
 from .errors import PhysicsError
-from .model import TrapSetup, field_amplitudes_at, rabi_frequency_at
-from .dipole_trap import FOCUS, trap_depth, trap_summary
+from .model import TrapSetup
+from .dipole_trap import trap_depth, trap_summary
 from . import blackbody as _blackbody
 from . import mathieu_floquet as _mathieu
 from .units import format_sig
@@ -48,7 +48,7 @@ def monopole_drive(setup: TrapSetup) -> MonopoleDrive:
     energy scale is (Q A)^2/(2M).  Both this energy and U0 are linear in
     intensity, so the ratio is intensity-independent.
     """
-    amps = field_amplitudes_at(setup, FOCUS)
+    amps = setup.focus_fields
     q = setup.ion.total_charge
     energy = (q * amps.vector_potential) ** 2 / (2.0 * setup.ion.total_mass)
     depth = trap_depth(setup)
@@ -77,7 +77,7 @@ def multipole_ratios(setup: TrapSetup) -> MultipoleRatios:
     the momentum of an ion at the full trap depth.
     """
     kr = setup.beam.wavenumber * setup.characteristic_size
-    omega = rabi_frequency_at(setup, FOCUS)
+    omega = setup.rabi_frequency
     mass = setup.ion.total_mass
     p_depth = np.sqrt(2.0 * mass * trap_depth(setup))
     phase_factor = setup.linewidth / abs(setup.beam.detuning)
@@ -113,7 +113,7 @@ def relativistic_ratios(setup: TrapSetup) -> RelativisticRatios:
     frequency by an intensity-dependent amount, here expressed as an
     angular frequency.
     """
-    amps = field_amplitudes_at(setup, FOCUS)
+    amps = setup.focus_fields
     g_e = 2.0
     spin_flip = (g_e * CONST.bohr_magneton * amps.magnetic
                  / (2.0 * CONST.hbar * setup.beam.omega_laser)) ** 2

@@ -13,9 +13,11 @@ harmonic frequencies reported here are based on; the log form
 (hbar delta / 2) ln(1 + s) is the exact antiderivative of the dipolar term
 and is available as a separate mode.
 
-s is proportional to the intensity, so the focus saturation s0 that the
-setup keeps (:attr:`~optrap.model.TrapSetup.saturation_at_focus`) gives
-the depth, the optical curvatures and the force scale grad s = (s0/I0) grad I.
+s is proportional to the intensity.  The setup keeps s0
+(:attr:`~optrap.model.TrapSetup.saturation_at_focus`), which gives the
+depth and the optical curvatures, and s0/I0
+(:attr:`~optrap.model.TrapSetup.saturation_per_intensity`), which scales
+both s = (s0/I0) I and grad s = (s0/I0) grad I.
 """
 
 import warnings
@@ -25,8 +27,7 @@ import numpy as np
 
 from .constants import CONST
 from .errors import BlueDetunedUnsupported, SaturationValidityWarning
-from .model import (FOCUS, TrapSetup, intensity_gradient_at,
-                    rabi_frequency_at, saturation_at)
+from .model import TrapSetup, intensity_gradient_at, saturation_at
 
 FORCE_MODELS = ("exact_log", "low_sat")  # the modes of dipole_force_at
 
@@ -80,12 +81,9 @@ def secular_curvatures(setup: TrapSetup) -> tuple:
 
 def _dipole_force(setup: TrapSetup, position, s):
     """-grad (hbar delta / 2) ln(1 + s) at ``position``, given s there;
-    s = 0 drops the 1/(1 + s), giving -grad (hbar delta / 2) s.  A dark
-    beam (I0 = 0) exerts none: its s0/I0 counts as 0."""
-    focus_intensity = setup.beam.focus_intensity
-    scale = (setup.saturation_at_focus / focus_intensity
-             if focus_intensity else 0.0)
-    grad_s = scale * intensity_gradient_at(setup.beam, position)
+    s = 0 drops the 1/(1 + s), giving -grad (hbar delta / 2) s."""
+    grad_s = setup.saturation_per_intensity \
+        * intensity_gradient_at(setup.beam, position)
     half = 0.5 * CONST.hbar * setup.beam.detuning
     return (-half / np.asarray(1.0 + s))[..., np.newaxis] * grad_s
 
@@ -149,7 +147,6 @@ class TrapSummary:
     """Depth, harmonic frequencies and the frequency-scale hierarchy."""
 
     depth: float                        # U0 = |V_eff(focus)|, J
-    saturation_at_focus: float
     scattering_rate_at_focus: float     # 1/s
     recoil_energy: float                # J
     optical_trap_frequencies: tuple     # (radial, radial, axial), rad/s
@@ -188,13 +185,12 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
     omega0 = max((w for w in combined if np.isfinite(w)), default=float("nan"))
 
     e_rec = recoil_energy(setup)
-    s0 = setup.saturation_at_focus
     scales = [
         ("omega0", omega0),
         ("recoil", e_rec / CONST.hbar),
         ("linewidth", setup.linewidth),
         ("depth_rate", depth / CONST.hbar),
-        ("rabi", rabi_frequency_at(setup, FOCUS)),
+        ("rabi", setup.rabi_frequency),
         ("abs_detuning", abs(setup.beam.detuning)),
         ("omega_laser", setup.beam.omega_laser),
         ("omega_transition", setup.omega_eg),
@@ -203,8 +199,8 @@ def trap_summary(setup: TrapSetup) -> TrapSummary:
 
     return TrapSummary(
         depth=float(depth),
-        saturation_at_focus=float(s0),
-        scattering_rate_at_focus=float(_scattering_rate(setup, s0)),
+        scattering_rate_at_focus=float(
+            _scattering_rate(setup, setup.saturation_at_focus)),
         recoil_energy=float(e_rec),
         optical_trap_frequencies=optical,
         combined_trap_frequencies=combined,

@@ -8,9 +8,9 @@ Two deliberately separate integrations:
   analysis rests on).  scipy's DOP853, the adaptive 8th-order
   Dormand-Prince pair (Hairer, Norsett & Wanner, *Solving ODEs I*).  What
   does not change along the trajectory is computed once: the static
-  curvatures' stiffness per run, and the focus saturation s0 once per
-  setup (:attr:`~optrap.model.TrapSetup.saturation_at_focus`), which sets
-  the force scale s0/I0.  Each right-hand-side evaluation makes one
+  curvatures' stiffness per run, and the scale s0/I0 of s and grad s
+  once per setup (:attr:`~optrap.model.TrapSetup.saturation_per_intensity`).
+  Each right-hand-side evaluation makes one
   public force call: :func:`~optrap.dipole_trap.mean_force_at` with
   radiation pressure, :func:`~optrap.dipole_trap.dipole_force_at` without.
 

@@ -305,8 +305,8 @@ class StabilityScan:
 
 
 def grid_count(lo: float, hi: float, step: float):
-    """Number of scan values lo, lo + step, ... <= hi (inf past float
-    range); the scan range rule: all finite, lo <= hi and step > 0."""
+    """Count of lo + k step, k <= (hi - lo)/step + 1e-9 (may pass hi by 1e-9
+    steps; inf past float range); range rule: finite, lo <= hi, step > 0."""
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(f"scan range must be finite, got {lo}:{hi}:{step}")
     if step <= 0 or hi < lo:

@@ -1,4 +1,4 @@
-"""Domain types and Gaussian-beam field evaluation.
+"""Domain types, Gaussian-beam intensity and the saturation parameter.
 
 The trapped particle is a hydrogen-like ion: a core of mass m_n and charge
 q_n plus one valence electron (m_e, q_e = -e), with total mass M and total
@@ -10,7 +10,10 @@ in strict SI units, angular frequencies in rad/s.  Positions are measured
 from the beam focus; the beam propagates along z, so the beam frame (x, y
 transverse, z axial) is the lab frame.
 
-The field chain takes one (3,) point or a (..., 3) batch through one code
+The setup computes the focus chain I0 -> (E0, B0, A0) -> Omega0 -> s0 ->
+s0/I0 once.  s is proportional to Omega^2, so to I: s(R) = (s0/I0) I(R).
+
+The profile takes one (3,) point or a (..., 3) batch through one code
 path: ``x, y, z = pos.T`` makes one point run on float64 scalars, not 0-d
 arrays, and squares of point values are products (a scalar's ``** 2`` is
 libm's pow, an array's is x*x), so a point has the bits of its batch row.
@@ -23,9 +26,6 @@ import numpy as np
 
 from .constants import CONST
 from .units import TWO_PI
-
-FOCUS = (0.0, 0.0, 0.0)                  # positions are measured from it
-
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -122,6 +122,15 @@ class LaserBeam:
 
 
 @dataclass(frozen=True)
+class FieldAmplitudes:
+    """Envelope peak amplitudes of the oscillation at omega_L."""
+
+    electric: float        # E_L, V/m
+    magnetic: float        # B_L = E_L/c, T
+    vector_potential: float  # A_L = E_L/omega_L, T m
+
+
+@dataclass(frozen=True)
 class TrapSetup:
     """The single input record for all analyses.
 
@@ -185,14 +194,40 @@ class TrapSetup:
         return scale * self.dipole_moment
 
     @cached_property
+    def focus_fields(self) -> FieldAmplitudes:
+        """Envelope amplitudes at the focus: E0 = sqrt(2 I0 / (eps0 c)),
+        with E0 = c B0 = omega_L A0 exactly."""
+        e_amp = np.sqrt(2.0 * self.beam.focus_intensity
+                        / (CONST.eps0 * CONST.c))
+        return FieldAmplitudes(electric=e_amp,
+                               magnetic=e_amp / CONST.c,
+                               vector_potential=e_amp / self.beam.omega_laser)
+
+    @cached_property
+    def rabi_frequency(self) -> float:
+        """Omega0 = d_eff E0 / hbar at the focus, rad/s; the polarization
+        overlap is 1 (circular light on a closed transition)."""
+        return self.effective_dipole_moment * self.focus_fields.electric \
+            / CONST.hbar
+
+    @cached_property
     def saturation_at_focus(self) -> float:
-        """s0 = s(focus), kept once computed; the depth, the optical
-        curvatures and s0/I0 all follow from it."""
-        return saturation_at(self, FOCUS)
+        """s0 = (Omega0^2/2) / (delta^2 + Gamma^2/4); the depth and the
+        optical curvatures follow from it."""
+        omega = self.rabi_frequency
+        return 0.5 * (omega * omega) / (self.beam.detuning ** 2
+                                        + 0.25 * self.linewidth ** 2)
+
+    @cached_property
+    def saturation_per_intensity(self) -> float:
+        """s0/I0, m^2/W: the scale of s(R) and of grad s.  A dark beam
+        (I0 = 0) has none: its s0/I0 counts as 0."""
+        i0 = self.beam.focus_intensity
+        return self.saturation_at_focus / i0 if i0 else 0.0
 
 
 # ---------------------------------------------------------------------------
-# beam geometry and fields
+# beam geometry and saturation
 # ---------------------------------------------------------------------------
 
 def _gaussian_profile(beam: LaserBeam, x, y, z):
@@ -226,42 +261,6 @@ def intensity_gradient_at(beam: LaserBeam, position):
     return grad
 
 
-@dataclass(frozen=True)
-class FieldAmplitudes:
-    """Envelope peak amplitudes of the oscillation at omega_L."""
-
-    electric: float        # E_L, V/m
-    magnetic: float        # B_L = E_L/c, T
-    vector_potential: float  # A_L = E_L/omega_L, T m
-
-
-def field_amplitudes_at(setup: TrapSetup, position) -> FieldAmplitudes:
-    """Plane-wave envelope amplitudes from the local intensity.
-
-    E_L = sqrt(2 I / (eps0 c)); the identities E_L = c B_L = omega_L A_L
-    hold exactly.
-    """
-    inten = intensity_at(setup.beam, position)
-    e_amp = np.sqrt(2.0 * inten / (CONST.eps0 * CONST.c))
-    return FieldAmplitudes(electric=e_amp,
-                           magnetic=e_amp / CONST.c,
-                           vector_potential=e_amp / setup.beam.omega_laser)
-
-
-def rabi_frequency_at(setup: TrapSetup, position):
-    """Rabi frequency Omega(R) = d_eff E_L(R) / hbar, rad/s.
-
-    Polarization is modelled as a scalar overlap factor of 1 (circular
-    polarization on a closed transition); the matrix-element projection is
-    absorbed into the dipole moment.
-    """
-    amps = field_amplitudes_at(setup, position)
-    return setup.effective_dipole_moment * amps.electric / CONST.hbar
-
-
 def saturation_at(setup: TrapSetup, position):
-    """Saturation parameter s(R) = (Omega^2/2) / (delta^2 + Gamma^2/4)."""
-    omega = rabi_frequency_at(setup, position)
-    delta = setup.beam.detuning
-    gamma = setup.linewidth
-    return 0.5 * (omega * omega) / (delta ** 2 + 0.25 * gamma ** 2)
+    """Saturation parameter s(R) = (s0/I0) I(R), s being proportional to I."""
+    return setup.saturation_per_intensity * intensity_at(setup.beam, position)

@@ -73,7 +73,7 @@ def build_report(parsed: ParsedConfig) -> dict:
         "trap": {
             "depth_J": summary.depth,
             "depth_mK": mk_from_joule(summary.depth),
-            "saturation_at_focus": summary.saturation_at_focus,
+            "saturation_at_focus": float(setup.saturation_at_focus),
             "scattering_rate_at_focus_per_s": summary.scattering_rate_at_focus,
             "recoil_energy_J": summary.recoil_energy,
             "optical_trap_frequencies_rad_s": list(

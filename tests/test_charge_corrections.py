@@ -5,14 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optrap import (IonSpecies, corrections_table, field_amplitudes_at,
-                    monopole_drive, multipole_ratios, relativistic_ratios)
+from optrap import (IonSpecies, corrections_table, monopole_drive,
+                    multipole_ratios, relativistic_ratios)
 from optrap.config import load_config
 from optrap.constants import CONST
 
 from conftest import DEPTH, make_reference_setup
 
-FOCUS = (0.0, 0.0, 0.0)
 REPO = Path(__file__).resolve().parent.parent
 # the four headline rows, in ledger (published-table) order
 MAIN_ROWS = ("effective_charge_correction", "spin_orbit_coupling",
@@ -43,7 +42,7 @@ def test_effective_charge_limits():
 def test_monopole_drive_reference(mg_setup):
     drive = monopole_drive(mg_setup)
     # independent chain: (Q A)^2/2M with A = E_L / omega_L
-    amps = field_amplitudes_at(mg_setup, FOCUS)
+    amps = mg_setup.focus_fields
     expected = (mg_setup.ion.total_charge * amps.vector_potential) ** 2 \
         / (2 * mg_setup.ion.total_mass)
     assert drive.drive_energy == pytest.approx(expected, rel=1e-12)
@@ -117,7 +116,7 @@ def test_multipole_long_wavelength_limit(mg_setup):
 def test_relativistic_ratios_reference(mg_setup):
     rel = relativistic_ratios(mg_setup)
     # (g mu_B B/2)/(hbar omega_L) squared with B = 5.59e-3 T
-    amps = field_amplitudes_at(mg_setup, FOCUS)
+    amps = mg_setup.focus_fields
     expected = (CONST.bohr_magneton * amps.magnetic
                 / (CONST.hbar * mg_setup.beam.omega_laser)) ** 2
     assert rel.spin_flip_probability == pytest.approx(expected, rel=1e-12)

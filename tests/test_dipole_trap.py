@@ -1,6 +1,5 @@
 """Saturation, potentials, mean force, scattering, trap summary."""
 
-import sys
 import warnings
 from pathlib import Path
 
@@ -406,20 +405,16 @@ def test_one_point_and_a_batch_give_the_same_bits(mg_setup):
 
 @pytest.fixture()
 def field_calls(monkeypatch):
-    """Counts model.field_amplitudes_at calls through every optrap module
-    attribute that holds it."""
+    """Counts the FieldAmplitudes records the focus chain builds (one per
+    evaluation of the chain), through model.FieldAmplitudes."""
     from optrap import model
-    original = model.field_amplitudes_at
+    original = model.FieldAmplitudes
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs)
         return original(*args, **kwargs)
-    for name, module in list(sys.modules.items()):
-        if module is not None and name.split(".")[0] == "optrap":
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(model, "FieldAmplitudes", counted)
     return calls
 
 
@@ -429,20 +424,22 @@ def test_focus_quantities_reuse_the_kept_saturation(field_calls):
     from optrap.config import check_full_span
     setup = make_reference_setup(static=(0.0, 0.0, (2 * np.pi * 1e5) ** 2))
     trap_summary(setup)
+    assert len(field_calls) == 1
     field_calls.clear()
     trap_depth(setup)
     secular_curvatures(setup)
     check_full_span(setup, 1e-3)
+    saturation_at(setup, (1e-6, 0.0, 1e-5))
+    dipole_force_at(setup, (1e-6, 0.0, 1e-5))
+    trap_summary(setup)                 # its Rabi frequency is kept too
     assert len(field_calls) == 0
-    trap_summary(setup)                 # its Rabi frequency only
-    assert len(field_calls) == 1
 
 
-def test_report_runs_the_field_chain_at_most_13_times(field_calls):
+def test_report_runs_the_field_chain_once(field_calls):
     from optrap.config import load_config
     from optrap.reporting import build_report
     parsed = load_config(Path(__file__).resolve().parent.parent
                          / "demos" / "mg24.json")
     field_calls.clear()
     build_report(parsed)
-    assert len(field_calls) <= 13
+    assert len(field_calls) == 1

@@ -64,7 +64,7 @@ def test_radial_frequency_matches_hessian(mg_setup):
                                 include_radiation_pressure=False,
                                 force_model="exact_log", samples=16385)
     freq_log = dominant_frequency(record_log.times, record_log.positions[:, 0])
-    s0 = summary.saturation_at_focus
+    s0 = mg_setup.saturation_at_focus
     assert freq_log == pytest.approx(omega_r / np.sqrt(1 + s0), rel=1e-3)
 
 
@@ -125,6 +125,27 @@ def test_start_beyond_escape_radius_raises(mg_setup):
             pytest.raises(EscapedTrap, match="at t = 0 s"):
         integrate_full(mg_setup, ((1e-2, 0.0, 0.0), (0.0, 0.0, 0.0)),
                        1e-6, include_radiation_pressure=False, samples=11)
+
+
+def test_escape_radius_tie_is_refused():
+    # |R| >= 100 waists is refused at t = 0; mg24's radius is exactly
+    # 7e-4 m.  One ulp inside the run goes ahead: the force there
+    # underflows to 0, so the ion stays where it started
+    from optrap.config import load_config
+    from optrap.dynamics import ESCAPE_RADIUS_WAISTS
+    setup = load_config(Path(__file__).resolve().parent.parent / "demos"
+                        / "mg24.json").setup
+    edge = ESCAPE_RADIUS_WAISTS * setup.beam.waist_radius
+    assert edge == 7e-4
+    with pytest.warns(InitialConditionWarning), \
+            pytest.raises(EscapedTrap, match="at t = 0 s"):
+        integrate_full(setup, ((edge, 0.0, 0.0), (0.0, 0.0, 0.0)), 1e-6,
+                       samples=11)
+    inside = np.nextafter(edge, 0.0)
+    with pytest.warns(InitialConditionWarning):
+        record = integrate_full(setup, ((inside, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                                1e-6, samples=11)
+    assert np.all(record.positions == (inside, 0.0, 0.0))
 
 
 def test_initial_condition_warning(mg_setup):
@@ -288,8 +309,7 @@ def test_driven_free_energy_conservation():
 def test_drive_kinetic_energy_vs_monopole(mg_setup):
     # at the physical drive (w_d = omega_L >> w0) the steady-state mean
     # kinetic energy is exactly half the (QA)^2/2M monopole energy scale
-    from optrap import field_amplitudes_at
-    amps = field_amplitudes_at(mg_setup, (0.0, 0.0, 0.0))
+    amps = mg_setup.focus_fields
     omega_l = mg_setup.beam.omega_laser
     omega0 = trap_summary(mg_setup).optical_trap_frequencies[0]
     spec = DrivenOscillatorSpec(
@@ -334,6 +354,20 @@ def test_driven_high_frequency_limit():
 def test_resonance_rejected():
     with pytest.raises(Resonance):
         make_spec(1.0005)
+
+
+@pytest.mark.parametrize("drive,refused", [(1001.0, False), (999.0, False),
+                                           (1000.999, True), (999.001, True)])
+def test_resonance_tie_is_accepted(drive, refused):
+    # refused iff |w_d - w0| < 1e-3 w0: at w0 = 1000 a drive 1 away runs
+    def build():
+        return DrivenOscillatorSpec(omega0=1000.0, drive_frequency=drive,
+                                    charge=1.0, field_amplitude=1.0, mass=1.0)
+    if refused:
+        with pytest.raises(Resonance):
+            build()
+    else:
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +446,9 @@ def test_dominant_frequency_under_two_cycles_is_nan(cycles, samples):
 # The driven file comes from an implementation that evaluated np.cos in
 # the RK8 accelerations and format_sig on every CSV cell; computing those
 # invariants once must reproduce every byte.  The two full-trajectory
-# files come from scipy's DOP853 with s0/I0 computed once per setup; they
-# change only if that integration or the force arithmetic changes.
+# files come from scipy's DOP853 with s and grad s scaled by the setup's
+# s0/I0; they change only if that integration or the force arithmetic
+# changes, and test_full_accuracy.py bounds their error.
 
 DATA = Path(__file__).resolve().parent / "data"
 

@@ -59,7 +59,8 @@ def reference_rhs(setup, force_model, radiation):
         x, yy, z = y[:3]
         w_sq = w0_sq * (1.0 + (z / z_r) ** 2)
         r_sq = x * x + yy * yy
-        intensity = 2.0 * beam.power / (np.pi * w_sq) * np.exp(-2.0 * r_sq / w_sq)
+        intensity = (2.0 * beam.power / (np.pi * w_sq)
+                     * np.exp(-2.0 * r_sq / w_sq))
         e_field = np.sqrt(2.0 * intensity / (CONST.eps0 * CONST.c))
         rabi = d_eff * e_field / CONST.hbar
         s = 0.5 * rabi ** 2 / (delta ** 2 + 0.25 * gamma ** 2)

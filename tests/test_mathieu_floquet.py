@@ -26,9 +26,10 @@ from scipy.optimize import brentq
 from optrap import (mathieu_monodromy, micromotion_ratio_optical,
                     monodromy_stability, optical_mathieu_params,
                     stability_scan, trap_summary)
-from optrap.errors import AnticonfinedAxis, StiffnessWarning
+from optrap.errors import AnticonfinedAxis, PhysicsError, StiffnessWarning
 from optrap.integrators import rk8_oscillator
-from optrap.mathieu_floquet import HILL_ORDER, floquet_eigenfunction_spectrum
+from optrap.mathieu_floquet import (HILL_ORDER, STIFFNESS_THRESHOLD,
+                                    floquet_eigenfunction_spectrum, grid_count)
 
 from conftest import make_reference_setup
 
@@ -439,9 +440,47 @@ def test_harmonic_limit_matrix(a, q):
     assert res.characteristic_exponent == beta
 
 
+def test_analytic_domain_tie_takes_the_numerical_path():
+    # the |q|/2 domain is max(|a|, |q|) < 1e-14, strictly: a point at the
+    # threshold on either parameter is integrated, one ulp below is not
+    below = np.nextafter(STIFFNESS_THRESHOLD, 0.0)
+    for tie, inside in (((STIFFNESS_THRESHOLD, 0.0), (below, 0.0)),
+                        ((0.0, STIFFNESS_THRESHOLD), (0.0, below))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StiffnessWarning)
+            assert not monodromy_stability(tie).from_analytic_law
+        with pytest.warns(StiffnessWarning):
+            assert monodromy_stability(inside).from_analytic_law
+    # a dark beam whose static curvature puts a at the threshold is refused
+    # the |q|/2 law; one ulp below gets it (|q| = 0)
+    omega_l = make_reference_setup().beam.omega_laser
+
+    def setup_at(a):
+        return make_reference_setup(power=0.0,
+                                    static=(a * omega_l ** 2, 0.0, 0.0))
+    assert optical_mathieu_params(setup_at(STIFFNESS_THRESHOLD), 0).a \
+        == STIFFNESS_THRESHOLD
+    with pytest.raises(PhysicsError, match="small-parameter regime"):
+        micromotion_ratio_optical(setup_at(STIFFNESS_THRESHOLD), 0)
+    assert optical_mathieu_params(setup_at(below), 0).a == below
+    assert micromotion_ratio_optical(setup_at(below), 0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # stability scan
 # ---------------------------------------------------------------------------
+
+def test_grid_count_slack_rule():
+    # k <= (max - min)/step + 1e-9: a ratio 1e-10 short of 3 keeps k = 3,
+    # one 2e-9 short does not
+    assert grid_count(0.0, 0.29999999999, 0.1) == 4
+    assert grid_count(0.0, 0.2999999998, 0.1) == 3
+    # so the last value may pass max by up to 1e-9 steps; the CSV prints
+    # it at 12 significant digits
+    grid = stability_scan((0.0, 0.29999999999), (0.0, 0.0), 0.1)
+    assert grid.a_values[-1] == 0.30000000000000004 > 0.29999999999
+    assert grid.to_csv_text().splitlines()[-1].startswith("0.3,0,")
+
 
 def test_scan_grid_and_boundary_cell():
     grid = stability_scan((0.0, 0.0), (0.85, 0.95), (1.0, 0.01))

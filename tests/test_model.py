@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from optrap import (IonSpecies, LaserBeam, TrapSetup,
-                    field_amplitudes_at, intensity_at, intensity_gradient_at,
-                    rabi_frequency_at)
+from optrap import (IonSpecies, LaserBeam, TrapSetup, intensity_at,
+                    intensity_gradient_at)
 from optrap.constants import CONST
 
 from conftest import DETUNING, LINEWIDTH, WAIST, WAVELENGTH, make_reference_setup
@@ -137,7 +136,7 @@ def test_gradient_vectorized_shape(mg_setup):
 # ---------------------------------------------------------------------------
 
 def test_field_amplitude_identities(mg_setup, focus):
-    amps = field_amplitudes_at(mg_setup, focus)
+    amps = mg_setup.focus_fields
     assert amps.electric == amps.magnetic * CONST.c
     assert amps.electric == pytest.approx(
         amps.vector_potential * mg_setup.beam.omega_laser, rel=1e-15)
@@ -151,14 +150,14 @@ def test_field_amplitude_identities(mg_setup, focus):
     assert amps.vector_potential == pytest.approx(2.490234e-10, rel=1e-5)
 
 
-def test_field_amplitude_scaling(mg_setup, focus):
+def test_field_amplitude_scaling(mg_setup):
     doubled = make_reference_setup(power=2.0 * mg_setup.beam.power)
-    a1 = field_amplitudes_at(mg_setup, focus)
-    a2 = field_amplitudes_at(doubled, focus)
+    a1 = mg_setup.focus_fields
+    a2 = doubled.focus_fields
     for field in ("electric", "magnetic", "vector_potential"):
         assert getattr(a2, field) == pytest.approx(
             np.sqrt(2.0) * getattr(a1, field), rel=1e-12)
-    zero = field_amplitudes_at(make_reference_setup(power=0.0), focus)
+    zero = make_reference_setup(power=0.0).focus_fields
     assert zero.electric == zero.magnetic == zero.vector_potential == 0.0
 
 
@@ -178,19 +177,19 @@ def test_dipole_from_linewidth(mg_setup):
     assert 1e-3 < kr < 1e-2
 
 
-def test_rabi_frequency_reference(mg_setup, focus):
-    omega = rabi_frequency_at(mg_setup, focus)
+def test_rabi_frequency_reference(mg_setup):
+    omega = mg_setup.rabi_frequency
     # 2pi x 3.5e10 Hz, the published Rabi-scale decade
     assert omega == pytest.approx(2.2216e11, rel=1e-3)
     assert omega / (2 * np.pi) == pytest.approx(3.5e10, rel=0.15)
-    assert rabi_frequency_at(make_reference_setup(power=0.0), focus) == 0.0
+    assert make_reference_setup(power=0.0).rabi_frequency == 0.0
 
 
-def test_rabi_neutral_equals_bare_dipole(neutral_setup, mg_setup, focus):
+def test_rabi_neutral_equals_bare_dipole(neutral_setup, mg_setup):
     # Q = 0 -> q_eff = |q_e| exactly; charged ion picks up m_e Q / M
-    omega_neutral = rabi_frequency_at(neutral_setup, focus)
+    omega_neutral = neutral_setup.rabi_frequency
     d = neutral_setup.dipole_moment
-    e_amp = field_amplitudes_at(neutral_setup, focus).electric
+    e_amp = neutral_setup.focus_fields.electric
     assert omega_neutral == pytest.approx(d * e_amp / CONST.hbar, rel=1e-15)
     boost = (mg_setup.effective_dipole_moment
              / mg_setup.dipole_moment)
