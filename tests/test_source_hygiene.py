@@ -41,12 +41,9 @@ def test_no_orphaned_private_name(path):
                              ast.ClassDef)):
             defined[node.name] = node.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
-                for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
-                        defined[name.id] = node.lineno
+            defined.update((name.id, node.lineno) for name in ast.walk(node)
+                           if isinstance(name, ast.Name)
+                           and isinstance(name.ctx, ast.Store))
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     orphans = sorted(f"{name} (line {line})" for name, line in defined.items()
