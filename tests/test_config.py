@@ -2,13 +2,17 @@
 
 import copy
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from optrap.config import load_config, parse_config
 from optrap.constants import CONST
+from optrap.dipole_trap import power_for_depth
 from optrap.errors import ConfigError, FrequencyRangeWarning
+from optrap.reporting import build_report
 
 BASE = {
     "ion": {"mass_u": 24.0, "charge_e": 1.0},
@@ -43,6 +47,51 @@ def test_parse_reference():
     from optrap import effective_potential_at
     depth = abs(effective_potential_at(setup, (0, 0, 0), mode="low_sat"))
     assert depth == pytest.approx(CONST.kB * 50e-3, rel=1e-12)
+
+
+def test_unit_conversions_are_bit_exact():
+    # every converted key against its hand formula, in a fixed evaluation
+    # order; each input is one where another order gives other bits
+    two_pi = 2.0 * math.pi
+    nm, mhz, um, ghz, mw, mk = 280.009, 40.001, 7.002, -300.0, 100.003, 50.019
+    curv, khz = (-0.5, 0.0, 2025.04), 100.0
+    cfg = {"ion": {"mass_u": 24.0, "charge_e": 1.0},
+           "transition": {"wavelength_nm": nm, "linewidth_2pi_MHz": mhz},
+           "laser": {"waist_um": um, "detuning_2pi_GHz": ghz, "power_mW": mw},
+           "static": {"curvatures_2pi_kHz_squared": list(curv)},
+           "simulate": {"mode": "driven", "options": {
+               "omega0_2pi_kHz": khz, "drive_ratio": 10.0, "field_V_m": 1.0,
+               "drive_periods": 2}}}
+    parsed = parse_config(cfg)
+    setup, beam = parsed.setup, parsed.setup.beam
+    assert beam.wavelength == nm * 1e-9 != nm / 1e9
+    assert setup.linewidth == two_pi * mhz * 1e6 != two_pi * (mhz * 1e6)
+    assert beam.waist_radius == um * 1e-6 != um / 1e6
+    assert beam.detuning == two_pi * ghz * 1e9 != two_pi * (ghz * 1e9)
+    assert beam.power == mw * 1e-3 != mw / 1e3
+    assert setup.static_curvatures == tuple(v * (two_pi * 1e3) ** 2
+                                            for v in curv)
+    assert curv[2] * (two_pi * 1e3) ** 2 != curv[2] * two_pi ** 2 * 1e6
+    omega0 = parsed.simulate["spec"]["omega0"]
+    assert omega0 == two_pi * (khz * 1e3) != two_pi * khz * 1e3
+
+    # depth_mK: the power is the inversion of exactly kB * T * 1e-3
+    del cfg["laser"]["power_mW"]
+    cfg["laser"]["depth_mK"] = mk
+    power = parse_config(cfg).setup.beam.power
+    unit_setup = replace(setup, beam=replace(beam, power=1.0))
+    assert power == power_for_depth(unit_setup, CONST.kB * mk * 1e-3)
+    assert power != power_for_depth(unit_setup, CONST.kB * (mk * 1e-3))
+
+    # the report's two converted outputs
+    report = build_report(parse_config(cfg))
+    rows = report["hierarchy"]
+    assert all(row["two_pi_hz"] == row["rad_s"] / two_pi for row in rows)
+    assert any(row["rad_s"] / two_pi != row["rad_s"] * (1 / two_pi)
+               for row in rows)
+    depth = report["trap"]["depth_J"]
+    assert report["trap"]["depth_mK"] == depth / CONST.kB * 1e3
+    assert depth / CONST.kB * 1e3 != depth * 1e3 / CONST.kB
 
 
 def test_unknown_keys_rejected_by_name():
