@@ -1,12 +1,14 @@
-"""Every name a package module imports is used in that module, and every
-private name it defines at module level is read there."""
+"""Every name a package module imports is used in that module, every
+private name it defines at module level is read there, and every public
+function or class it defines is read somewhere in the repository."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "optrap"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "optrap"
 # __init__ imports names to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -50,3 +52,33 @@ def test_no_orphaned_private_name(path):
                      if name.startswith("_") and not name.startswith("__")
                      and name not in read)
     assert not orphans, f"{path.name} defines unread private names: {orphans}"
+
+
+def _readers(path):
+    # (name, owner) for each name one file reads as ast.Name or
+    # ast.Attribute; owner is the module-level definition it sits in
+    for node in _parse(path).body:
+        owner = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id, owner
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr, owner
+
+
+def test_no_unreferenced_public_name():
+    # a public module-level function or class that nothing in src/, tests/
+    # or demos/ reads outside its own definition (an import alone does not
+    # count) is dead code
+    readers = {}
+    for path in [*SRC.glob("*.py"), *(REPO / "tests").glob("*.py"),
+                 *(REPO / "demos").glob("*.py")]:
+        for name, owner in _readers(path):
+            readers.setdefault(name, set()).add((path, owner))
+    unread = sorted(f"{path.name}: {node.name} (line {node.lineno})"
+                    for path in MODULES for node in _parse(path).body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and not readers.get(node.name, set()) - {(path, node.name)})
+    assert not unread, f"public names nothing reads: {unread}"
