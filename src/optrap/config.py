@@ -16,13 +16,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .constants import CONST
 from .errors import ConfigError, FrequencyRangeWarning
 from .model import IonSpecies, LaserBeam, TrapSetup
 from .dipole_trap import check_force_model, power_for_depth, secular_curvatures
 from .dynamics import (DEFAULT_SAMPLES, MIN_ATOL, MIN_STEPS_PER_PERIOD,
                        driven_steps)
 from .mathieu_floquet import MAX_HALF_STEPS, grid_count
-from . import units
+from .units import TWO_PI
 
 
 _SIM_FULL_OPTION_KEYS = {"include_radiation_pressure", "force_model", "rtol",
@@ -185,24 +186,21 @@ def parse_config(raw: dict) -> ParsedConfig:
 
     tr_cfg = _section(raw, "transition", {"wavelength_nm",
                                           "linewidth_2pi_MHz"}, required=True)
-    wavelength = units.metre_from_nm(
-        _number(tr_cfg, "wavelength_nm", "transition"))
-    linewidth = units.rad_s_from_2pi_mhz(
-        _number(tr_cfg, "linewidth_2pi_MHz", "transition"))
+    wavelength = _number(tr_cfg, "wavelength_nm", "transition") * 1e-9
+    linewidth = TWO_PI * _number(
+        tr_cfg, "linewidth_2pi_MHz", "transition") * 1e6
 
     laser_cfg = _section(raw, "laser", {"waist_um", "detuning_2pi_GHz",
                                         "power_mW", "depth_mK"}, required=True)
-    waist = units.metre_from_um(
-        _number(laser_cfg, "waist_um", "laser"))
-    detuning = units.rad_s_from_2pi_ghz(
-        _number(laser_cfg, "detuning_2pi_GHz", "laser"))
+    waist = _number(laser_cfg, "waist_um", "laser") * 1e-6
+    detuning = TWO_PI * _number(laser_cfg, "detuning_2pi_GHz", "laser") * 1e9
     has_power = "power_mW" in laser_cfg
     has_depth = "depth_mK" in laser_cfg
     if has_power == has_depth:
         raise ConfigError("laser needs exactly one of power_mW, depth_mK")
 
     static_cfg = _section(raw, "static", {"curvatures_2pi_kHz_squared"})
-    curvatures = tuple(units.curvature_from_2pi_khz_sq(v) for v in _vector3(
+    curvatures = tuple(v * (TWO_PI * 1e3) ** 2 for v in _vector3(
         static_cfg, "curvatures_2pi_kHz_squared", "static"))
 
     env_cfg = _section(raw, "environment", {"temperature_K"})
@@ -236,14 +234,14 @@ def parse_config(raw: dict) -> ParsedConfig:
                                static_curvatures=curvatures,
                                temperature=temperature)
     if has_power:
-        power = units.watt_from_mw(literal)
+        power = literal * 1e-3
     elif detuning >= 0:
         raise ConfigError("depth_mK requires red detuning "
                           "(negative detuning_2pi_GHz)")
     else:
         with _model_checks("transition.linewidth_2pi_MHz", "laser.waist_um",
                            "laser.detuning_2pi_GHz", "laser.depth_mK"):
-            power = power_for_depth(unit_setup, units.joule_from_mk(literal))
+            power = power_for_depth(unit_setup, CONST.kB * literal * 1e-3)
     with _model_checks(f"laser.{key}"):
         setup = replace(unit_setup, beam=replace(unit_beam, power=power))
     return ParsedConfig(setup=setup, blackbody_prefactor=prefactor,
@@ -310,7 +308,7 @@ def _validate_simulate(sim: dict, ion: IonSpecies) -> dict:
             raise ConfigError("driven simulate needs exactly one of "
                               "simulate.t_end_s, "
                               "simulate.options.drive_periods")
-        omega0 = units.rad_s_from_2pi_hz(khz * 1e3)
+        omega0 = TWO_PI * (khz * 1e3)
         drive = ratio * omega0
         fast = max(omega0, drive)
         # the integrator squares both frequencies

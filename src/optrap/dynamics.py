@@ -246,7 +246,8 @@ def driven_steps(omega0: float, drive_frequency: float, t_end: float = None,
     The step divides the period of the fastest frequency (max(w_d, w0))
     into at least ``steps_per_period`` >= ``MIN_STEPS_PER_PERIOD`` pieces.
     The duration is ``t_end`` or a number of drive periods.  The count is
-    a whole float, inf where it passes the float range.
+    max(ceil(t_end/h - 1e-9), 1), a whole float (inf past the float range),
+    so t_end/h up to 1e-9 past an integer k gives k steps.
     """
     if (t_end is None) == (drive_periods is None):
         raise ValueError("specify exactly one of t_end, drive_periods")
@@ -361,7 +362,8 @@ def dominant_frequency(times, values) -> float:
     FFT peak (Hann window) refined by maximising the windowed projection
     amplitude; accurate to ~1e-8 relative for clean tones over hundreds
     of periods.  NaN if the signal does not move (all values equal) or
-    peaks in the lowest non-zero bin (fewer than about two cycles).
+    peaks in the lowest non-zero bin (fewer than about two cycles); equal
+    bin magnitudes resolve to the lower bin, so a tie with that bin is NaN.
     """
     from scipy.optimize import minimize_scalar
     times = np.asarray(times, dtype=float)

@@ -8,13 +8,14 @@ reference orders are fixed comparison anchors; they are not recomputed
 for other configurations.
 """
 
+from .constants import CONST
 from .errors import PhysicsError
 from .config import ParsedConfig
 from .charge_corrections import corrections_table
 from .dipole_trap import trap_summary
 from .mathieu_floquet import (AXIS_NAMES, micromotion_ratio_optical,
                               optical_mathieu_params)
-from .units import format_sig, mk_from_joule, two_pi_hz_from_rad_s
+from .units import TWO_PI, format_sig
 
 # symbol and published order (2pi x Hz) of each reference hierarchy scale
 REFERENCE_FREQUENCY_ORDERS = {
@@ -50,7 +51,7 @@ def build_report(parsed: ParsedConfig) -> dict:
             "name": name,
             "symbol": symbol,
             "rad_s": float(value),
-            "two_pi_hz": float(two_pi_hz_from_rad_s(value)),
+            "two_pi_hz": float(value / TWO_PI),
             "paper_order_2pi_hz": order,
         })
 
@@ -72,7 +73,7 @@ def build_report(parsed: ParsedConfig) -> dict:
         "config": parsed.raw,
         "trap": {
             "depth_J": summary.depth,
-            "depth_mK": mk_from_joule(summary.depth),
+            "depth_mK": summary.depth / CONST.kB * 1e3,
             "saturation_at_focus": float(setup.saturation_at_focus),
             "scattering_rate_at_focus_per_s": summary.scattering_rate_at_focus,
             "recoil_energy_J": summary.recoil_energy,

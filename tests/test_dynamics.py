@@ -10,6 +10,7 @@ from optrap import (DrivenOscillatorSpec, dominant_frequency,
                     equilibrium_shift, exact_driven_position,
                     integrate_driven, integrate_full, mean_force_at,
                     monopole_drive, steady_drive_amplitude, trap_summary)
+from optrap.dynamics import driven_steps
 from optrap.errors import (EscapedTrap, InitialConditionWarning, NoRoot,
                            Resonance, UnreachableScale)
 
@@ -368,6 +369,16 @@ def test_resonance_tie_is_accepted(drive, refused):
             build()
     else:
         build()
+
+
+@pytest.mark.parametrize("excess,steps", [(0.0, 100.0), (5e-10, 100.0),
+                                          (2e-9, 101.0)])
+def test_driven_steps_slack_rule(excess, steps):
+    # max(ceil(t_end/h - 1e-9), 1): up to 1e-9 steps past 100 still gives 100
+    omega0 = 2 * np.pi * 1e5
+    h = 2 * np.pi / omega0 / 64
+    t_end = h * (100 + excess)
+    assert driven_steps(omega0, omega0 / 2, t_end=t_end) == (t_end, steps)
 
 
 # ---------------------------------------------------------------------------
