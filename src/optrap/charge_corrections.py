@@ -18,7 +18,7 @@ order-of-magnitude estimate for the reference single-ion experiment, so
 discrepancies stay visible instead of being absorbed.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,7 +156,7 @@ class CorrectionLedger:
                             reverse=True))
 
     def to_json_dict(self) -> list:
-        return [asdict(entry) for entry in self.entries]
+        return [dict(vars(entry)) for entry in self.entries]
 
     def to_csv_text(self) -> str:
         lines = ["name,formula,value,ratio_to_U0,paper_order,section"]

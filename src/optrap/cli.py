@@ -18,6 +18,7 @@ trajectory) and JSON always keeps full precision.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -135,6 +136,8 @@ def run_simulate(args) -> int:
     return EXIT_OK
 
 
+# built once per process, so each subcommand's func is bound on the first call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trap",

@@ -148,6 +148,41 @@ def test_report_neutral_note(tmp_path, mg24_config):
     assert by_name["octupole_correction"]["value"] > 0.0
 
 
+def _nonfinite_fields(value, path=""):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nonfinite_fields(item, f"{path}.{key}".lstrip("."))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nonfinite_fields(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not np.isfinite(value):
+        yield path, json.dumps(value)       # the token json writes for it
+
+
+# report.json holds Python's Infinity/NaN tokens, which strict JSON parsers
+# reject; these are the cases where they appear, each field pinned
+@pytest.mark.parametrize("block,key,value,expected", [
+    ("ion", "charge_e", 0.0, {"blackbody.heating_timescale_s": "Infinity"}),
+    ("environment", "temperature_K", 0.0,
+     {"blackbody.heating_timescale_s": "Infinity"}),
+    ("static", "curvatures_2pi_kHz_squared", [0.0, 0.0, -100.0],
+     {"trap.combined_trap_frequencies_rad_s[2]": "NaN"}),
+], ids=["neutral", "zero_kelvin", "anticonfined_z"])
+def test_report_json_nonfinite_tokens(tmp_path, mg24_config, block, key,
+                                      value, expected):
+    assert dict(_nonfinite_fields(json.loads(
+        (DATA / "report_mg24.json").read_text()))) == {}
+    mg24_config[block][key] = value
+    assert main(["report", str(write_config(tmp_path, mg24_config)),
+                 "--out-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "report.json").read_text()
+    tokens = []
+    report = json.loads(text, parse_constant=lambda token: tokens.append(
+        token) or float(token))
+    assert dict(_nonfinite_fields(report)) == expected
+    assert tokens == list(expected.values())
+
+
 def test_float_digits_env(tmp_path, monkeypatch):
     monkeypatch.setenv("TRAP_FLOAT_DIGITS", "4")
     assert main(["report", str(MG24), "--out-dir", str(tmp_path)]) == 0
@@ -782,3 +817,68 @@ def test_aliased_samples_warn_in_one_line(tmp_path, capsys, mg24_config,
     record = integrate_full(parsed.setup, sim["initial"], 1e-5,
                             **sim["options"])
     assert (tmp_path / "trajectory.csv").read_text() == record.to_csv_text()
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process
+# ---------------------------------------------------------------------------
+
+def _files(out_dir):
+    if not out_dir.exists():
+        return {}
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+
+def test_reused_parser_carries_no_state(tmp_path, monkeypatch, capsys,
+                                        mg24_config):
+    # four commands in this process share one parser; each gives the files,
+    # exit code and output lines of the same command run alone
+    from optrap.cli import build_parser
+    monkeypatch.delenv("TRAP_FLOAT_DIGITS", raising=False)
+    config = str(write_config(tmp_path, mg24_config))
+    commands = [
+        ["stability", config, "--a", "0:0.2:0.1", "--q", "0:0.3:0.1",
+         "--steps", "64"],
+        ["stability", config],          # the scan block, default steps
+        ["stability", config, "--steps", "many"],   # argparse exits 2
+        ["report", config],
+    ]
+    parser = build_parser()
+    for k, argv in enumerate(commands):
+        shared = tmp_path / "shared" / str(k)
+        alone = tmp_path / "alone" / str(k)
+        try:
+            code = main([*argv, "--out-dir", str(shared)])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = _run_cli_process(tmp_path, "-m", "optrap.cli", *argv,
+                                "--out-dir", str(alone))
+        assert code == proc.returncode == (2 if k == 2 else 0), proc.stderr
+        assert out == proc.stdout.replace(str(alone), str(shared))
+        assert err == proc.stderr
+        assert _files(shared) == _files(alone)
+        assert (_files(alone) == {}) == (k == 2)
+    assert build_parser() is parser
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    import argparse
+    from optrap.cli import build_parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    assert main(["report", str(MG24), "--out-dir", str(tmp_path)]) == 0
+    assert len(built) == 4              # the parser and its three commands
+    built.clear()
+    assert main(["report", str(MG24), "--out-dir", str(tmp_path)]) == 0
+    assert main(["stability", str(MG24), "--a", "0:0:1", "--q", "0:0:1",
+                 "--out-dir", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit):
+        main(["report"])
+    assert built == []
