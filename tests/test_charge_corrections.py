@@ -218,34 +218,3 @@ def test_ledger_json(mg_setup):
     assert payload["depth_J"] == pytest.approx(DEPTH, rel=1e-12)
     names = [e["name"] for e in payload["entries"]]
     assert "monopole_coupling" in names
-
-
-def _neutral(cfg):
-    cfg["ion"]["charge_e"] = 0.0
-
-
-def _power_and_static(cfg):
-    del cfg["laser"]["depth_mK"]
-    cfg["laser"]["power_mW"] = 3.0
-    cfg["static"]["curvatures_2pi_kHz_squared"] = [100, -50, 2025]
-
-
-# dataclasses.asdict is the independent oracle for the shallow field read
-@pytest.mark.parametrize("change", [None, _neutral, _power_and_static],
-                         ids=["mg24", "neutral", "mg24_power_static"])
-def test_ledger_json_matches_asdict(change):
-    import json
-    from dataclasses import asdict
-    from optrap.config import parse_config
-    cfg = json.loads((REPO / "demos" / "mg24.json").read_text())
-    if change is not None:
-        change(cfg)
-    parsed = parse_config(cfg)
-    ledger = corrections_table(parsed.setup,
-                               blackbody_prefactor=parsed.blackbody_prefactor)
-    rows = ledger.to_json_dict()
-    expected = [asdict(entry) for entry in ledger.entries]
-    assert rows == expected
-    assert [list(row) for row in rows] == [list(row) for row in expected]
-    assert [[type(v) for v in row.values()] for row in rows] == [
-        [type(v) for v in row.values()] for row in expected]
