@@ -17,7 +17,10 @@ Two deliberately separate integrations:
 * :func:`integrate_driven` solves the charge-monopole driven harmonic
   oscillator M x'' = Q E cos(w_d t) - M w0^2 x with the fixed-step RK8
   kernel of :mod:`optrap.integrators` (the one the Mathieu monodromy
-  uses), for drive/secular ratios up to 1e6.  The physical
+  uses), for drive/secular ratios up to 1e6.  The ODE is linear, so one
+  step is an affine map; the run takes that map from four one-step
+  kernel calls and evaluates the recurrence at every step in closed form
+  (eigen-angle and steady state), with no stepping loop.  The physical
   ratio (~1e10) is validated through the analytic steady state and its
   (w0/w_d)^2 scaling law, not by direct integration.
 
@@ -32,6 +35,7 @@ restoring force).
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -209,6 +213,12 @@ class DrivenOscillatorSpec:
             raise ValueError("all driven-oscillator parameters must be finite")
         if self.omega0 <= 0 or self.drive_frequency <= 0 or self.mass <= 0:
             raise ValueError("omega0, drive frequency and mass must be positive")
+        # a subnormal w0^2 keeps too few bits for the restoring force
+        if self.omega0 ** 2 < sys.float_info.min:
+            raise UnreachableScale(
+                f"omega0 = {self.omega0:.3g} rad/s: its square is below the "
+                f"smallest normal float ({sys.float_info.min:.3g}), outside "
+                "the float range the integration resolves")
         if abs(self.drive_frequency - self.omega0) < 1e-3 * self.omega0:
             raise Resonance("drive within 0.1% of the secular frequency; "
                             "no steady state separable from the transient")
@@ -263,8 +273,9 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
                      drive_periods: int = None,
                      steps_per_period: int = MIN_STEPS_PER_PERIOD
                      ) -> TrajectoryRecord:
-    """Fixed-step integration of the driven oscillator over the steps of
-    :func:`driven_steps`, recorded at every step.  Raises
+    """Fixed-step RK8 solution of the driven oscillator at every step of
+    :func:`driven_steps`: the kernel's one-step map y -> P y + Re(G
+    e^{i w_d t}), applied k times in closed form.  Raises
     :class:`UnreachableScale` for w_d/w0 > 1e6.
     """
     ratio = spec.drive_frequency / spec.omega0
@@ -281,12 +292,46 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
     qe_over_m = float(spec.charge * spec.field_amplitude / spec.mass)
     w0_sq = float(spec.omega0 ** 2)
     wd = float(spec.drive_frequency)
-    cos = math.cos
+    cos, sin = math.cos, math.sin
 
-    def accel(t, x):
-        return qe_over_m * cos(wd * t) - w0_sq * x
+    def one_step(accel, v0=0.0):
+        """(x, v) after one kernel step of size h from (0, v0) at t = 0."""
+        _, xs, vs = rk8_scalar_oscillator(accel, 0.0, h, 1, 0.0, v0)
+        return float(xs[1]), float(vs[1])
 
-    ts, xs, vs = rk8_scalar_oscillator(accel, 0.0, h, nsteps, spec.x0, spec.v0)
+    # One step of this linear ODE is the affine map
+    # y_{k+1} = P y_k + Re(G e^{i wd t_k}).  For x'' = -w0^2 x a Runge-Kutta
+    # step is a polynomial in h A with A^2 = -w0^2 I, so P = I + D with
+    # D = [[d, p01], [p10, d]].  The unit-x step runs on x - 1, so that d
+    # keeps the low bits that 1 + d would round away (rho^k repeats them).
+    d, p10 = one_step(lambda t, x: -w0_sq * (x + 1.0))
+    p01, _ = one_step(lambda t, x: -w0_sq * x, v0=1.0)
+    gc_x, gc_v = one_step(lambda t, x: qe_over_m * cos(wd * t) - w0_sq * x)
+    gs_x, gs_v = one_step(lambda t, x: qe_over_m * sin(wd * t) - w0_sq * x)
+    g_x, g_v = complex(gc_x, gs_x), complex(gc_v, gs_v)
+    # P = rho (cos(phi) I + sin(phi) K), K = [[0, p01], [p10, 0]] / gamma
+    # (K^2 = -I), with rho^2 = det P = (1 + d)^2 - p01 p10
+    gamma = math.sqrt(-p01 * p10)
+    phi = math.atan2(gamma, 1.0 + d)
+    log_rho = 0.5 * math.log1p(d * (2.0 + d) - p01 * p10)
+    # the steady state Re(c e^{i wd t_k}) solves (e^{i wd h} I - P) c = G,
+    # by Cramer's rule: x and v differ in scale by ~wd, and a pivoting
+    # solve lets the error of one leak into the other
+    diag = complex(-2.0 * sin(wd * h / 2.0) ** 2 - d, sin(wd * h))
+    det = diag * diag - p01 * p10
+    c_x = (diag * g_x + p01 * g_v) / det
+    c_v = (p10 * g_x + diag * g_v) / det
+
+    k = np.arange(nsteps + 1)
+    ts = k * h
+    drive_cos, drive_sin = np.cos(wd * ts), np.sin(wd * ts)
+    u_x, u_v = spec.x0 - c_x.real, spec.v0 - c_v.real
+    decay = np.exp(k * log_rho)
+    free_cos, free_sin = decay * np.cos(k * phi), decay * np.sin(k * phi)
+    xs = (free_cos * u_x + free_sin * (p01 / gamma * u_v)
+          + c_x.real * drive_cos - c_x.imag * drive_sin)
+    vs = (free_cos * u_v + free_sin * (p10 / gamma * u_x)
+          + c_v.real * drive_cos - c_v.imag * drive_sin)
     positions = np.zeros((len(ts), 3))
     positions[:, 0] = xs
     velocities = np.zeros_like(positions)

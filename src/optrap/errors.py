@@ -30,7 +30,8 @@ class StepFailure(PhysicsError):
 
 
 class UnreachableScale(PhysicsError):
-    """Requested drive/secular frequency ratio is numerically intractable."""
+    """Requested frequency scale is numerically intractable: a drive/secular
+    ratio above 1e6, or a secular frequency whose square is subnormal."""
 
 
 class Resonance(PhysicsError):

@@ -3,10 +3,12 @@
 The 11-stage order-8 scheme of Cooper and Verner (coefficients closed in
 sqrt(21)).  :func:`rk8_oscillator` is the one stepping loop: the Mathieu
 monodromy (its two fundamental solutions over the half period, batched
-over (a, q) points or one point at a time) and the driven oscillator
-(through :func:`rk8_scalar_oscillator`, recorded at every step) both run
-through it.  Fixed stepping keeps phase-sensitive comparisons (monodromy
-matrices, driven steady states) bit-reproducible across runs; adaptive
+over (a, q) points or one point at a time) runs through it, and the
+driven oscillator takes its one-step map from four single steps of
+:func:`rk8_scalar_oscillator` and evaluates the recurrence in closed
+form instead of looping.  Fixed stepping keeps phase-sensitive
+comparisons (monodromy matrices, driven steady states)
+bit-reproducible across runs; adaptive
 integration for the secular trap dynamics lives in :mod:`optrap.dynamics`
 on top of scipy instead.
 """

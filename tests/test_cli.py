@@ -675,6 +675,26 @@ def test_simulate_nonfinite_trajectory_exits_3(tmp_path, capsys, mg24_config,
     assert not out.exists()
 
 
+# a secular frequency whose square is subnormal (w0 < 2^-511 rad/s, i.e.
+# omega0_2pi_kHz below ~2.37e-158) is refused by the run, not integrated
+@pytest.mark.parametrize("khz,code", [(1e-300, 3), (1e-160, 3), (1e-150, 0)])
+def test_driven_low_frequency_bound(tmp_path, capsys, mg24_config, khz, code):
+    cfg = _driven(mg24_config, drive_periods=2, omega0_2pi_kHz=khz)
+    cfg["ion"]["charge_e"] = 0.0
+    cfg["simulate"]["initial"] = {"position_m": 1e-9}
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)]) == code
+    if code:
+        assert "float range" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        omega0 = 2 * np.pi * khz * 1e3
+        assert rows[:, 1] == pytest.approx(1e-9 * np.cos(omega0 * rows[:, 0]),
+                                           rel=1e-11)
+
+
 # resonance and unreachable ratios are physics, decided by the run
 @pytest.mark.parametrize("ratio", [1.0, 1e7])
 def test_driven_physics_refusal_only_from_simulate(tmp_path, mg24_config,

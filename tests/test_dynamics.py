@@ -1,8 +1,11 @@
 """Trajectory integration, the driven oscillator, equilibrium shift."""
 
+import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from optrap import (DrivenOscillatorSpec, dominant_frequency,
 from optrap.dynamics import driven_steps
 from optrap.errors import (EscapedTrap, InitialConditionWarning, NoRoot,
                            Resonance, UnreachableScale)
+from optrap.integrators import RK8_A, RK8_B, rk8_oscillator
 
 from conftest import WAIST, make_reference_setup
 
@@ -371,6 +375,105 @@ def test_resonance_tie_is_accepted(drive, refused):
         build()
 
 
+def _stepped(spec, **run):
+    """integrate_driven's (times, x, v) by sequential RK8 steps."""
+    t_end, nsteps = driven_steps(spec.omega0, spec.drive_frequency, **run)
+    qe_over_m = float(spec.charge * spec.field_amplitude / spec.mass)
+    w0_sq, wd = float(spec.omega0 ** 2), float(spec.drive_frequency)
+
+    def accel(t, x):
+        return qe_over_m * math.cos(wd * t) - w0_sq * x
+    return rk8_oscillator(accel, 0.0, t_end / nsteps, int(nsteps),
+                          float(spec.x0), float(spec.v0), record=True)
+
+
+def _free_recurrence(spec, h, nsteps):
+    """(x, v) of the RK8 recurrence for Q = 0 in 40-digit arithmetic, with
+    the kernel's own step coefficients (h a_ij and h b_i as floats)."""
+    with mpmath.workdps(40):
+        a = [[mpmath.mpf(h * aij) for aij in row] for row in RK8_A]
+        b = [mpmath.mpf(h * bi) for bi in RK8_B]
+        w0_sq = mpmath.mpf(float(spec.omega0 ** 2))
+        x, v = mpmath.mpf(spec.x0), mpmath.mpf(spec.v0)
+        xs, vs = [x], [v]
+        for _ in range(nsteps):
+            kx, kv = [], []
+            for row in a:
+                kx.append(v + sum(aij * k for aij, k in zip(row, kv)))
+                kv.append(-w0_sq * (x + sum(aij * k
+                                            for aij, k in zip(row, kx))))
+            x += sum(bi * k for bi, k in zip(b, kx))
+            v += sum(bi * k for bi, k in zip(b, kv))
+            xs.append(x)
+            vs.append(v)
+        return np.array(xs, dtype=float), np.array(vs, dtype=float)
+
+
+def _no_worse_than_stepping(got, stepped, reference):
+    # the closed form may lose at most 4 units of 2^-52 of the series' max
+    # against the stepping kernel's own error
+    worst = np.max(np.abs(reference))
+    return (np.max(np.abs(got - reference))
+            <= np.max(np.abs(stepped - reference)) + 4 * 2.0 ** -52 * worst)
+
+
+@pytest.mark.parametrize("charge", [1.0, 0.0], ids=["driven", "Q0"])
+@pytest.mark.parametrize("periods", [2, 8])
+@pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
+def test_driven_closed_form_no_worse_than_stepping(ratio, periods, charge):
+    # generic start; the reference is the continuous solution, and for
+    # Q = 0 the recurrence itself: there the continuous error is RK8's own
+    # phase error, which stepping round-off can happen to offset
+    base = make_spec(ratio).steady_amplitude
+    spec = replace(make_spec(ratio, x0=1.7 * base,
+                             v0=0.3 * base * spec_omega0()),
+                   charge=charge * make_spec(ratio).charge)
+    record = integrate_driven(spec, drive_periods=periods)
+    ts, x_step, v_step = _stepped(spec, drive_periods=periods)
+    assert np.array_equal(record.times, ts)
+    if charge:
+        amp, wd, w0 = spec.steady_amplitude, spec.drive_frequency, spec.omega0
+        x_ref = exact_driven_position(spec, ts)
+        v_ref = (amp * wd * np.sin(wd * ts)
+                 - (spec.x0 + amp) * w0 * np.sin(w0 * ts)
+                 + spec.v0 * np.cos(w0 * ts))
+    else:
+        x_ref, v_ref = _free_recurrence(spec, ts[1], len(ts) - 1)
+    assert _no_worse_than_stepping(record.positions[:, 0], x_step, x_ref)
+    assert _no_worse_than_stepping(record.velocities[:, 0], v_step, v_ref)
+
+
+@pytest.mark.parametrize("periods", [2, 200])
+def test_driven_run_takes_four_kernel_steps(monkeypatch, periods):
+    # the one-step map comes from the kernel; the run itself does not step
+    import optrap.dynamics
+    kernel = optrap.dynamics.rk8_scalar_oscillator
+    steps = []
+
+    def counted(accel, t0, h, nsteps, x0, v0):
+        steps.append(nsteps)
+        return kernel(accel, t0, h, nsteps, x0, v0)
+    monkeypatch.setattr(optrap.dynamics, "rk8_scalar_oscillator", counted)
+    record = integrate_driven(make_spec(100.0), drive_periods=periods)
+    assert sum(steps) == 4
+    assert len(record.times) == 64 * periods + 1
+
+
+def test_driven_low_frequency_bound():
+    # refused iff w0^2 is below the smallest normal float: w0 < 2^-511
+    def build(omega0):
+        return DrivenOscillatorSpec(omega0=omega0, drive_frequency=10 * omega0,
+                                    charge=0.0, field_amplitude=1.0, mass=1.0,
+                                    x0=1.0)
+    tie = 2.0 ** -511
+    assert tie ** 2 == sys.float_info.min
+    record = integrate_driven(build(tie), drive_periods=2)
+    assert record.positions[-1, 0] == pytest.approx(
+        np.cos(tie * record.times[-1]), rel=1e-12)
+    with pytest.raises(UnreachableScale, match="float range"):
+        build(np.nextafter(tie, 0.0))
+
+
 @pytest.mark.parametrize("excess,steps", [(0.0, 100.0), (5e-10, 100.0),
                                           (2e-9, 101.0)])
 def test_driven_steps_slack_rule(excess, steps):
@@ -454,9 +557,12 @@ def test_dominant_frequency_under_two_cycles_is_nan(cycles, samples):
 # ---------------------------------------------------------------------------
 # pinned trajectory bytes
 # ---------------------------------------------------------------------------
-# The driven file comes from an implementation that evaluated np.cos in
-# the RK8 accelerations and format_sig on every CSV cell; computing those
-# invariants once must reproduce every byte.  The two full-trajectory
+# The driven file is integrate_driven's closed form of the RK8 recurrence.
+# Regenerated from it, every cell kept the bytes that sequential RK8
+# stepping wrote before (and an implementation before that, which
+# evaluated np.cos in the accelerations and format_sig on every cell);
+# test_driven_closed_form_no_worse_than_stepping bounds the closed form
+# against that stepping.  The two full-trajectory
 # files come from scipy's DOP853 with s and grad s scaled by the setup's
 # s0/I0; they change only if that integration or the force arithmetic
 # changes, and test_full_accuracy.py bounds their error.
