@@ -286,9 +286,11 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
     t_end, nsteps = driven_steps(spec.omega0, spec.drive_frequency, t_end,
                                  drive_periods, steps_per_period)
     nsteps = int(nsteps)
-    h = t_end / nsteps
 
     # Python floats throughout, so the RK8 float path stays in float math
+    # and the steady state below in Python complex math (t_end is a numpy
+    # float for a numpy drive frequency)
+    h = float(t_end / nsteps)
     qe_over_m = float(spec.charge * spec.field_amplitude / spec.mass)
     w0_sq = float(spec.omega0 ** 2)
     wd = float(spec.drive_frequency)
@@ -296,8 +298,7 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
 
     def one_step(accel, v0=0.0):
         """(x, v) after one kernel step of size h from (0, v0) at t = 0."""
-        _, xs, vs = rk8_scalar_oscillator(accel, 0.0, h, 1, 0.0, v0)
-        return float(xs[1]), float(vs[1])
+        return rk8_scalar_oscillator(accel, 0.0, h, 1, 0.0, v0)
 
     # One step of this linear ODE is the affine map
     # y_{k+1} = P y_k + Re(G e^{i wd t_k}).  For x'' = -w0^2 x a Runge-Kutta

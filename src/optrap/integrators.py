@@ -1,21 +1,19 @@
 """Fixed-step 8th-order Runge-Kutta integration of x'' = accel(t, x).
 
 The 11-stage order-8 scheme of Cooper and Verner (coefficients closed in
-sqrt(21)).  :func:`rk8_oscillator` is the one stepping loop: the Mathieu
-monodromy (its two fundamental solutions over the half period, batched
-over (a, q) points or one point at a time) runs through it, and the
-driven oscillator takes its one-step map from four single steps of
-:func:`rk8_scalar_oscillator` and evaluates the recurrence in closed
-form instead of looping.  Fixed stepping keeps phase-sensitive
-comparisons (monodromy matrices, driven steady states)
-bit-reproducible across runs; adaptive
-integration for the secular trap dynamics lives in :mod:`optrap.dynamics`
-on top of scipy instead.
+sqrt(21)).  :func:`rk8_oscillator` is the one stepping loop, and it
+returns only the final state: the Mathieu monodromy (its two fundamental
+solutions over the half period, batched over (a, q) points or one point
+at a time) runs through it, and the driven oscillator takes its one-step
+map from four single steps of :func:`rk8_scalar_oscillator` and
+evaluates the recurrence in closed form instead of looping.  Fixed
+stepping keeps phase-sensitive comparisons (monodromy matrices, driven
+steady states) bit-reproducible across runs; adaptive integration for
+the secular trap dynamics lives in :mod:`optrap.dynamics` on top of
+scipy instead.
 """
 
 import math
-
-import numpy as np
 
 _S21 = math.sqrt(21.0)
 
@@ -51,18 +49,17 @@ _A_NONZERO = tuple(tuple((j, aij) for j, aij in enumerate(row) if aij != 0.0)
 _B_NONZERO = tuple((i, bi) for i, bi in enumerate(RK8_B) if bi != 0.0)
 
 
-def rk8_oscillator(accel, t0: float, h: float, nsteps: int, x0, v0,
-                   record: bool = False):
-    """Integrate x'' = accel(t, x) with ``nsteps`` equal RK8 steps of size h.
+def rk8_oscillator(accel, t0: float, h: float, nsteps: int, x0, v0):
+    """Integrate x'' = accel(t, x) with ``nsteps`` equal RK8 steps of size h
+    from (x0, v0) at t0, and return the final (x, v).  Step n starts at
+    t = t0 + n h.
 
     ``x0`` and ``v0`` may be Python floats or numpy arrays of one shape;
     every update builds a new value (never in place), so both run through
     the same arithmetic in the same order and give the same bits.
     ``accel`` must return the type of ``x``: on the float path a Python
     float (``math.cos``, not ``np.cos``, of the scalar t), since one numpy
-    scalar would carry every later stage into numpy-scalar arithmetic.  With
-    ``record``, returns (times, positions, velocities) at the start and
-    after every step; otherwise returns only the final (x, v).
+    scalar would carry every later stage into numpy-scalar arithmetic.
     """
     if nsteps < 1:
         raise ValueError("nsteps must be >= 1")
@@ -72,11 +69,6 @@ def rk8_oscillator(accel, t0: float, h: float, nsteps: int, x0, v0,
     kx = [None] * len(a)
     kv = [None] * len(a)
     x, v = x0, v0
-    if record:
-        ts = t0 + np.arange(nsteps + 1) * h
-        xs = np.empty(ts.shape + np.shape(x0))
-        vs = np.empty_like(xs)
-        xs[0], vs[0] = x0, v0
     for n in range(nsteps):
         t = t0 + n * h
         for i, row in enumerate(a):
@@ -93,17 +85,10 @@ def rk8_oscillator(accel, t0: float, h: float, nsteps: int, x0, v0,
             dv = dv + hbi * kv[i]
         x = x + dx
         v = v + dv
-        if record:
-            xs[n + 1] = x
-            vs[n + 1] = v
-    if record:
-        return ts, xs, vs
     return x, v
 
 
 def rk8_scalar_oscillator(accel, t0: float, h: float, nsteps: int,
                           x0: float, v0: float):
-    """:func:`rk8_oscillator` on floats, recorded: returns (times,
-    positions, velocities) at the start and after every step."""
-    return rk8_oscillator(accel, t0, h, nsteps, float(x0), float(v0),
-                          record=True)
+    """:func:`rk8_oscillator` on floats: the final (x, v)."""
+    return rk8_oscillator(accel, t0, h, nsteps, float(x0), float(v0))

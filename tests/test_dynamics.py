@@ -16,7 +16,8 @@ from optrap import (DrivenOscillatorSpec, dominant_frequency,
 from optrap.dynamics import driven_steps
 from optrap.errors import (EscapedTrap, InitialConditionWarning, NoRoot,
                            Resonance, UnreachableScale)
-from optrap.integrators import RK8_A, RK8_B, rk8_oscillator
+from optrap.integrators import (RK8_A, RK8_B, rk8_oscillator,
+                                rk8_scalar_oscillator)
 
 from conftest import WAIST, make_reference_setup
 
@@ -380,11 +381,45 @@ def _stepped(spec, **run):
     t_end, nsteps = driven_steps(spec.omega0, spec.drive_frequency, **run)
     qe_over_m = float(spec.charge * spec.field_amplitude / spec.mass)
     w0_sq, wd = float(spec.omega0 ** 2), float(spec.drive_frequency)
+    h, nsteps = t_end / nsteps, int(nsteps)
 
     def accel(t, x):
         return qe_over_m * math.cos(wd * t) - w0_sq * x
-    return rk8_oscillator(accel, 0.0, t_end / nsteps, int(nsteps),
-                          float(spec.x0), float(spec.v0), record=True)
+    # step k starts at t0 = k h, where one nsteps-step call is at 0.0 + k h
+    xs, vs = [float(spec.x0)], [float(spec.v0)]
+    for k in range(nsteps):
+        x, v = rk8_oscillator(accel, k * h, h, 1, xs[-1], vs[-1])
+        xs.append(x)
+        vs.append(v)
+    return np.arange(nsteps + 1) * h, np.array(xs), np.array(vs)
+
+
+@pytest.mark.parametrize("shape", [None, (5, 2)], ids=["float", "array"])
+def test_rk8_single_steps_are_one_call(shape):
+    # _stepped above relies on both identities, bit for bit: n one-step
+    # calls from t0 = k h are one n-step call from 0.0, and the float
+    # wrapper is the kernel on floats
+    rng = np.random.default_rng(7)
+    h, nsteps = 0.0625 * math.pi, 37
+    if shape is None:
+        a, x0, v0 = 1.3, 0.4, -1.1
+    else:
+        a = rng.uniform(0.1, 3.0, (shape[0], 1))
+        x0, v0 = rng.uniform(-1.0, 1.0, (2,) + shape)
+
+    def accel(t, x):
+        return 0.3 * math.cos(1.7 * t) - (a - 0.2 * math.cos(2.0 * t)) * x
+    x, v = x0, v0
+    for k in range(nsteps):
+        x, v = rk8_oscillator(accel, k * h, h, 1, x, v)
+    whole = rk8_oscillator(accel, 0.0, h, nsteps, x0, v0)
+    if shape is None:
+        assert (x, v) == whole
+        assert type(x) is float and type(v) is float
+        assert rk8_scalar_oscillator(accel, 0.0, h, nsteps, x0, v0) == whole
+    else:
+        assert np.array_equal(x, whole[0]) and np.array_equal(v, whole[1])
+        assert x.shape == shape
 
 
 def _free_recurrence(spec, h, nsteps):
@@ -457,6 +492,19 @@ def test_driven_run_takes_four_kernel_steps(monkeypatch, periods):
     record = integrate_driven(make_spec(100.0), drive_periods=periods)
     assert sum(steps) == 4
     assert len(record.times) == 64 * periods + 1
+
+
+@pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
+def test_driven_numpy_scalars_keep_float_bits(ratio):
+    # numpy frequencies make t_end a numpy float; the run still steps and
+    # solves in Python float math, so no bit moves
+    spec = make_spec(ratio, x0=-make_spec(ratio).steady_amplitude)
+    as_numpy = replace(spec, omega0=np.float64(spec.omega0),
+                       drive_frequency=np.float64(spec.drive_frequency))
+    want, got = (integrate_driven(s, drive_periods=8)
+                 for s in (spec, as_numpy))
+    for name in ("times", "positions", "velocities"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_driven_low_frequency_bound():
