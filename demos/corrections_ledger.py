@@ -28,9 +28,6 @@ print("\nheadline rows sorted by computed ratio (published-table order):")
 for entry in ledger.sorted_by_ratio()[:4]:
     print(f"  {entry.name:30s} {entry.ratio_to_u0:.3e}")
 
-print("\nsnippet of the CSV serialization:")
-print("\n".join(ledger.to_csv_text().splitlines()[:3]))
-
 # neutral-atom limit: the charge-tagged entries vanish, the rest persist
 neutral = replace(setup, ion=IonSpecies.from_amu(24.0, 0.0))
 neutral_ledger = corrections_table(neutral)

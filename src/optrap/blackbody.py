@@ -35,6 +35,9 @@ def mean_occupation(omega0: float, temperature: float) -> float:
 
     Exact Bose factor; at room temperature and trap frequencies this is
     within 1e-7 of the Rayleigh-Jeans limit kB T / (hbar w).  kB T = 0 gives 0.
+    Past the float range nbar is 0.0 where expm1(hbar w / kB T) overflows
+    and inf where 1/expm1 overflows or the ratio underflows to 0, without a
+    numpy warning; :func:`heating_rate` refuses a charged ion's inf rate.
     """
     if not omega0 > 0:
         raise ValueError("omega0 must be positive")
@@ -43,7 +46,8 @@ def mean_occupation(omega0: float, temperature: float) -> float:
     if CONST.kB * temperature == 0.0:     # T = 0, or kB T underflows
         return 0.0
     x = CONST.hbar * omega0 / (CONST.kB * temperature)
-    return float(1.0 / np.expm1(x))
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(1.0 / np.expm1(x))
 
 
 def larmor_emission_rate(charge: float, mass: float, omega0: float,

@@ -28,7 +28,6 @@ from .model import TrapSetup
 from .dipole_trap import trap_depth, trap_summary
 from . import blackbody as _blackbody
 from . import mathieu_floquet as _mathieu
-from .units import format_sig
 
 
 @dataclass(frozen=True)
@@ -157,19 +156,6 @@ class CorrectionLedger:
 
     def to_json_dict(self) -> list:
         return [dict(vars(entry)) for entry in self.entries]
-
-    def to_csv_text(self) -> str:
-        lines = ["name,formula,value,ratio_to_U0,paper_order,section"]
-        for en in self.entries:
-            lines.append(",".join([
-                en.name,
-                f'"{en.formula}"',
-                format_sig(en.value),
-                format_sig(en.ratio_to_u0),
-                format_sig(en.paper_order),
-                en.section,
-            ]))
-        return "\n".join(lines) + "\n"
 
 
 def corrections_table(setup: TrapSetup,

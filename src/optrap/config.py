@@ -20,8 +20,8 @@ from .constants import CONST
 from .errors import ConfigError, FrequencyRangeWarning
 from .model import IonSpecies, LaserBeam, TrapSetup
 from .dipole_trap import check_force_model, power_for_depth, secular_curvatures
-from .dynamics import (DEFAULT_SAMPLES, MIN_ATOL, MIN_STEPS_PER_PERIOD,
-                       driven_steps)
+from .dynamics import (DEFAULT_SAMPLES, MIN_ATOL, MIN_RTOL,
+                       MIN_STEPS_PER_PERIOD, driven_steps)
 from .mathieu_floquet import MAX_HALF_STEPS, grid_count
 from .units import TWO_PI
 
@@ -267,8 +267,7 @@ def _validate_simulate(sim: dict, ion: IonSpecies) -> dict:
         if "force_model" in options:
             with _model_checks(f"{path}.force_model"):
                 check_force_model(options["force_model"])
-        _number(options, "rtol", path, required=False, minimum=0.0,
-                strict_min=True)
+        _number(options, "rtol", path, required=False, minimum=MIN_RTOL)
         _number(options, "atol", path, required=False, minimum=MIN_ATOL)
         options = {"samples": DEFAULT_SAMPLES, **options}
         samples = _integer(options["samples"], f"{path}.samples", 2)

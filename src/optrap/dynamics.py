@@ -50,9 +50,11 @@ from .dipole_trap import (check_force_model, dipole_force_at,
 
 ESCAPE_RADIUS_WAISTS = 100.0
 INITIAL_WARNING_WAISTS = 5.0
-# smallest absolute tolerance: atol = 0 hangs DOP853 on state components
-# that stay exactly zero (0/0 error ratios); 1e-100 ends cleanly
+# smallest tolerances: atol = 0 hangs DOP853 on state components that stay
+# exactly zero (0/0 error ratios), 1e-100 ends cleanly; scipy raises an rtol
+# below 100 eps to that floor with a warning, so a smaller one is refused
 MIN_ATOL = 1e-100
+MIN_RTOL = 100 * sys.float_info.epsilon
 DEFAULT_SAMPLES = 4097   # integrate_full's output samples
 MIN_STEPS_PER_PERIOD = 64   # integrate_driven's floor on steps per period
 CSV_BLOCK_ROWS = 512     # trajectory CSV rows formatted per block
@@ -129,11 +131,11 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     Raises :class:`EscapedTrap` past 100 waists (at t = 0 for a start
     there) and :class:`StepFailure` if the tolerances cannot be met;
     ``ValueError``, before integrating, for ``atol`` below ``MIN_ATOL``,
-    ``rtol`` <= 0 or a ``force_model`` outside ``FORCE_MODELS``.
+    ``rtol`` below ``MIN_RTOL`` or a ``force_model`` outside ``FORCE_MODELS``.
     """
-    if not (atol >= MIN_ATOL and rtol > 0):
-        raise ValueError(f"need atol >= {MIN_ATOL:g} and rtol > 0, got "
-                         f"atol={atol!r}, rtol={rtol!r}")
+    if not (atol >= MIN_ATOL and rtol >= MIN_RTOL):
+        raise ValueError(f"need atol >= {MIN_ATOL:g} and rtol >= {MIN_RTOL!r}"
+                         f", got atol={atol!r}, rtol={rtol!r}")
     check_force_model(force_model)
     position0 = np.asarray(initial[0], dtype=float)
     velocity0 = np.asarray(initial[1], dtype=float)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from optrap import IonSpecies, LaserBeam, TrapSetup, power_for_depth
+from optrap import IonSpecies, LaserBeam, TrapSetup, errors, power_for_depth
 from optrap.constants import CONST
 
 # reference trap: 24Mg+, 280 nm laser, waist 7 um, detuning -2pi x 300 GHz,
@@ -50,3 +50,17 @@ def neutral_setup():
 @pytest.fixture()
 def focus():
     return (0.0, 0.0, 0.0)
+
+
+# the package's own warning categories, the only ones a successful command
+# should print
+TRAP_WARNINGS = {name for name, value in vars(errors).items()
+                 if isinstance(value, type)
+                 and issubclass(value, errors.TrapWarning)}
+
+
+def foreign_warnings(stderr: str) -> list:
+    """The CLI's ``warning: <Category>: ...`` lines of another category."""
+    return [line for line in stderr.splitlines()
+            if line.startswith("warning: ")
+            and line.split(": ")[1] not in TRAP_WARNINGS]

@@ -1,18 +1,14 @@
 """The correction ledger and its individual estimators."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from optrap import (IonSpecies, corrections_table, monopole_drive,
                     multipole_ratios, relativistic_ratios)
-from optrap.config import load_config
 from optrap.constants import CONST
 
 from conftest import DEPTH, make_reference_setup
 
-REPO = Path(__file__).resolve().parent.parent
 # the four headline rows, in ledger (published-table) order
 MAIN_ROWS = ("effective_charge_correction", "spin_orbit_coupling",
              "octupole_correction", "monopole_coupling")
@@ -186,28 +182,6 @@ def test_ledger_ratios_finite_nonnegative(mg_setup):
         assert np.isfinite(entry.ratio_to_u0)
         assert entry.ratio_to_u0 >= 0.0
         assert entry.paper_order > 0
-
-
-def test_ledger_csv_roundtrip(mg_setup):
-    import csv
-    import io
-    ledger = corrections_table(mg_setup)
-    text = ledger.to_csv_text()
-    rows = list(csv.DictReader(io.StringIO(text)))
-    assert len(rows) == len(ledger.entries)
-    assert rows[0]["name"] == "effective_charge_correction"
-    assert float(rows[0]["ratio_to_U0"]) == pytest.approx(
-        CONST.m_electron / mg_setup.ion.total_mass, rel=1e-8)
-    for row in rows:
-        assert set(row) == {"name", "formula", "value", "ratio_to_U0",
-                            "paper_order", "section"}
-
-
-def test_ledger_csv_pinned_bytes():
-    # the ledger CSV is pinned at 9 significant digits
-    setup = load_config(REPO / "demos" / "mg24.json").setup
-    assert corrections_table(setup).to_csv_text().encode("utf-8") == (
-        REPO / "tests" / "data" / "ledger_mg24.csv").read_bytes()
 
 
 def test_ledger_json(mg_setup):

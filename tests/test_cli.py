@@ -13,6 +13,7 @@ import pytest
 
 from optrap.cli import main
 from optrap.config import parse_config
+from optrap.dynamics import MIN_RTOL
 from optrap.reporting import build_report
 
 REPO = Path(__file__).resolve().parent.parent
@@ -198,6 +199,26 @@ def test_report_json_nonfinite_tokens(tmp_path, mg24_config, block, key,
         token) or float(token))
     assert dict(_nonfinite_fields(report)) == expected
     assert tokens == list(expected.values())
+
+
+# past the float range the Bose occupation is its limit, without a numpy
+# warning: 0.0 where expm1(hbar w0 / kB T) overflows, inf where 1/expm1
+# overflows or hbar w0 / kB T underflows to 0 (a neutral ion, whose rate
+# stays 0; a charged ion's infinite rate exits 3)
+@pytest.mark.parametrize("charge,temperature,depth_mK,nbar", [
+    (1.0, 1e-9, 50.0, "0.0"), (0.0, 1e308, 50.0, "Infinity"),
+    (0.0, 1.7e308, 1e-20, "Infinity")], ids=["cold", "hot", "hot-x-zero"])
+def test_report_occupation_limits_warn_nothing(tmp_path, capsys, mg24_config,
+                                               charge, temperature, depth_mK,
+                                               nbar):
+    mg24_config["ion"]["charge_e"] = charge
+    mg24_config["environment"]["temperature_K"] = temperature
+    mg24_config["laser"]["depth_mK"] = depth_mK
+    assert main(["report", str(write_config(tmp_path, mg24_config)),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert json.dumps(report["blackbody"]["mean_occupation"]) == nbar
 
 
 def test_float_digits_env(tmp_path, monkeypatch):
@@ -413,6 +434,8 @@ def test_simulate_escape_is_physics_error(tmp_path, mg24_config):
     ("full", "samples", True),
     ("full", "rtol", -1),
     ("full", "rtol", 0),
+    ("full", "rtol", 1e-15),
+    ("full", "rtol", float(np.nextafter(MIN_RTOL, 0.0))),
     ("full", "atol", -1e-16),
     ("full", "atol", 0),
     ("full", "atol", 1e-200),
@@ -438,6 +461,16 @@ def test_simulate_bad_option_exits_2_before_write(tmp_path, capsys,
                  "--out-dir", str(out)]) == 2
     assert f"simulate.options.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_at_min_rtol_warns_nothing(tmp_path, capsys, mg24_config):
+    # MIN_RTOL is DOP853's own floor, which scipy takes without a warning;
+    # 10 us spans the two cycles the dominant frequency needs
+    mg24_config["simulate"]["t_end_s"] = 1e-5
+    mg24_config["simulate"]["options"].update(rtol=MIN_RTOL, samples=65)
+    assert main(["simulate", str(write_config(tmp_path, mg24_config)),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert "warning:" not in capsys.readouterr().err
 
 
 def test_simulate_failure_after_integration_writes_nothing(

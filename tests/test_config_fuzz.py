@@ -22,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from optrap.cli import main
 
+from conftest import foreign_warnings
+
 MG24 = Path(__file__).resolve().parent.parent / "demos" / "mg24.json"
 
 _KEYS = [("ion", "mass_u"), ("ion", "charge_e"),
@@ -78,3 +80,19 @@ def test_report_exits_cleanly_and_writes_only_on_success(cfg):
         assert code in (0, 2, 3)
         for name in ("report.json", "report.txt"):
             assert (out / name).exists() == (code == 0)
+
+
+# without the filter above, a successful report prints only TrapWarnings:
+# a numpy or scipy warning names no config key and no rule
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cfg=_configs())
+def test_successful_report_prints_only_package_warnings(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["report", str(path), "--out-dir", tmp])
+        if code == 0:
+            assert foreign_warnings(stderr.getvalue()) == []

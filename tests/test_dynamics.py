@@ -13,7 +13,7 @@ from optrap import (DrivenOscillatorSpec, dominant_frequency,
                     equilibrium_shift, exact_driven_position,
                     integrate_driven, integrate_full, mean_force_at,
                     monopole_drive, steady_drive_amplitude, trap_summary)
-from optrap.dynamics import driven_steps
+from optrap.dynamics import MIN_RTOL, driven_steps
 from optrap.errors import (EscapedTrap, InitialConditionWarning, NoRoot,
                            Resonance, UnreachableScale)
 from optrap.integrators import (RK8_A, RK8_B, rk8_oscillator,
@@ -648,7 +648,8 @@ def test_full_exact_log_radiation_csv_pinned_bytes():
 
 @pytest.mark.parametrize("rtol,atol", [(1e-10, 0.0), (1e-10, 1e-200),
                                        (1e-10, float("nan")), (0.0, 1e-16),
-                                       (-1e-10, 1e-16)])
+                                       (-1e-10, 1e-16), (1e-15, 1e-16),
+                                       (np.nextafter(MIN_RTOL, 0.0), 1e-16)])
 def test_integrate_full_rejects_bad_tolerances_before_solving(
         mg_setup, monkeypatch, rtol, atol):
     from optrap import dynamics

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from optrap.cli import main
 
+from conftest import foreign_warnings
+
 MG24 = Path(__file__).resolve().parent.parent / "demos" / "mg24.json"
 
 _WRONG_TYPE = st.one_of(st.none(), st.text(max_size=4), st.booleans(),
@@ -96,3 +98,21 @@ def test_simulate_options_exit_cleanly_and_write_only_on_success(simulate):
             code = main(["simulate", str(path), "--out-dir", str(out)])
         assert code in (0, 2, 3)
         assert (out / "trajectory.csv").exists() == (code == 0)
+
+
+# a successful run prints only TrapWarnings: e.g. scipy's warning that it
+# raised rtol to its floor would name a tolerance the config did not give
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(simulate=_simulate_blocks())
+def test_successful_simulate_prints_only_package_warnings(simulate):
+    cfg = json.loads(MG24.read_text(encoding="utf-8"))
+    cfg["simulate"] = simulate
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["simulate", str(path), "--out-dir", tmp])
+        if code == 0:
+            assert foreign_warnings(stderr.getvalue()) == []
