@@ -20,13 +20,15 @@ depth and the optical curvatures, and s0/I0
 both s = (s0/I0) I and grad s = (s0/I0) grad I.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CONST
-from .errors import BlueDetunedUnsupported, SaturationValidityWarning
+from .errors import (BlueDetunedUnsupported, SaturationValidityWarning,
+                     UnreachableScale)
 from .model import TrapSetup, intensity_gradient_at, saturation_at
 
 FORCE_MODELS = ("exact_log", "low_sat")  # the modes of dipole_force_at
@@ -79,20 +81,21 @@ def secular_curvatures(setup: TrapSetup) -> tuple:
         optical_curvatures(setup), setup.static_curvatures))
 
 
-def _dipole_force(setup: TrapSetup, position, s):
-    """-grad (hbar delta / 2) ln(1 + s) at ``position``, given s there;
-    s = 0 drops the 1/(1 + s), giving -grad (hbar delta / 2) s."""
-    grad_s = setup.saturation_per_intensity \
-        * intensity_gradient_at(setup.beam, position)
+def _dipole_force(setup: TrapSetup, position, exact_log: bool):
+    """(s, -grad (hbar delta / 2) ln(1 + s)) at ``position`` from one TEM00
+    profile; without ``exact_log``, -grad (hbar delta / 2) s."""
+    inten, grad = intensity_gradient_at(setup.beam, position, with_intensity=True)
+    scale = setup.saturation_per_intensity
+    s = scale * inten
     half = 0.5 * CONST.hbar * setup.beam.detuning
-    return (-half / np.asarray(1.0 + s))[..., np.newaxis] * grad_s
+    soften = np.asarray(1.0 + s if exact_log else 1.0)
+    return s, (-half / soften)[..., np.newaxis] * (scale * grad)
 
 
 def dipole_force_at(setup: TrapSetup, position, mode: str = "exact_log"):
     """Conservative dipole force -grad V, shape (..., 3), N."""
     check_force_model(mode)
-    s = saturation_at(setup, position) if mode == "exact_log" else 0.0
-    return _dipole_force(setup, position, s)
+    return _dipole_force(setup, position, mode == "exact_log")[1]
 
 
 @dataclass(frozen=True)
@@ -112,13 +115,51 @@ def mean_force_at(setup: TrapSetup, position,
     """Mean optical force after averaging over the optical period; the
     dipolar part has :func:`dipole_force_at`'s form in ``mode``."""
     check_force_model(mode)
-    s = saturation_at(setup, position)
-    dip = _dipole_force(setup, position, s if mode == "exact_log" else 0.0)
+    s, dip = _dipole_force(setup, position, mode == "exact_log")
     gamma = setup.linewidth
     k = setup.beam.wavenumber
     mag = 0.5 * CONST.hbar * gamma * (s / (1.0 + s)) * k
     rp = np.multiply.outer(mag, (0.0, 0.0, 1.0))    # along the beam, +z
     return MeanForce(dipolar=dip, radiation_pressure=rp)
+
+
+def secular_rhs(setup: TrapSetup, mode: str, radiation: bool):
+    """dy/dt = (V, (F(R) - M omega_s^2 R) / M) at one y = (R, V), F being
+    :func:`mean_force_at`'s total (``radiation``) or :func:`dipole_force_at`,
+    in their operation order on Python floats, with libm's ``math.exp``
+    (numpy's exp has per-SIMD-level bits) as the one difference."""
+    check_force_model(mode)
+    beam = setup.beam
+    z_r, z_r_sq = float(beam.rayleigh_range), float(beam.rayleigh_range ** 2)
+    w0_sq, two_p = float(beam.waist_radius ** 2), float(2.0 * beam.power)
+    if not w0_sq * w0_sq > 0.0:      # the gradient divides by w(z)^4
+        raise UnreachableScale(f"w0^4 underflows (w0 = {beam.waist_radius:.3g} m)")
+    s_per_i, k = float(setup.saturation_per_intensity), float(beam.wavenumber)
+    half = float(0.5 * CONST.hbar * beam.detuning)
+    half_gamma = float(0.5 * CONST.hbar * setup.linewidth)
+    mass, exact_log = float(setup.ion.total_mass), mode == "exact_log"
+    kx, ky, kz = (float(-mass * c) for c in setup.static_curvatures)
+
+    def rhs(_t, y):
+        x, y_, z, vx, vy, vz = y.tolist()
+        axial = z / z_r
+        r2 = x * x + y_ * y_
+        w2 = w0_sq * (1.0 + axial * axial)
+        inten = two_p / (math.pi * w2) * math.exp(-2.0 * r2 / w2)
+        radial = -4.0 * inten / w2
+        dw2 = 2.0 * w0_sq * z / z_r_sq
+        grad_z = inten * dw2 * (2.0 * r2 - w2) / (w2 * w2)
+        s = s_per_i * inten
+        scale = -half / (1.0 + s) if exact_log else -half
+        fx = scale * (s_per_i * (radial * x))
+        fy = scale * (s_per_i * (radial * y_))
+        fz = scale * (s_per_i * grad_z)
+        if radiation:    # mean_force_at's total adds mag * (0, 0, 1)
+            mag = half_gamma * (s / (1.0 + s)) * k
+            fx, fy, fz = fx + mag * 0.0, fy + mag * 0.0, fz + mag * 1.0
+        return np.array([vx, vy, vz, (fx + kx * x) / mass,
+                         (fy + ky * y_) / mass, (fz + kz * z) / mass])
+    return rhs
 
 
 def _scattering_rate(setup: TrapSetup, s: float) -> float:

@@ -6,13 +6,11 @@ Two deliberately separate integrations:
   trap under the optical mean force (the fast optical oscillation is
   excluded by construction, matching the time-scale separation the trap
   analysis rests on).  scipy's DOP853, the adaptive 8th-order
-  Dormand-Prince pair (Hairer, Norsett & Wanner, *Solving ODEs I*).  What
-  does not change along the trajectory is computed once: the static
-  curvatures' stiffness per run, and the scale s0/I0 of s and grad s
-  once per setup (:attr:`~optrap.model.TrapSetup.saturation_per_intensity`).
-  Each right-hand-side evaluation makes one
-  public force call: :func:`~optrap.dipole_trap.mean_force_at` with
-  radiation pressure, :func:`~optrap.dipole_trap.dipole_force_at` without.
+  Dormand-Prince pair (Hairer, Norsett & Wanner, *Solving ODEs I*).  Its
+  right-hand side is one kernel per run,
+  :func:`~optrap.dipole_trap.secular_rhs`, on Python floats through libm's
+  exp, calling no public force function; ``metadata["nfev"]`` keeps
+  solve_ivp's count of evaluations.
 
 * :func:`integrate_driven` solves the charge-monopole driven harmonic
   oscillator M x'' = Q E cos(w_d t) - M w0^2 x with the fixed-step RK8
@@ -45,8 +43,8 @@ from .errors import (EscapedTrap, InitialConditionWarning, NoRoot, Resonance,
                      StepFailure, UnreachableScale)
 from .integrators import rk8_scalar_oscillator
 from .model import TrapSetup
-from .dipole_trap import (check_force_model, dipole_force_at,
-                          effective_potential_at, mean_force_at)
+from .dipole_trap import (check_force_model, effective_potential_at,
+                          mean_force_at, secular_rhs)
 
 ESCAPE_RADIUS_WAISTS = 100.0
 INITIAL_WARNING_WAISTS = 5.0
@@ -149,19 +147,6 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
             > INITIAL_WARNING_WAISTS * setup.beam.rayleigh_range):
         warnings.warn("initial position beyond 5 trap length scales from "
                       "the focus", InitialConditionWarning, stacklevel=2)
-    mass = setup.ion.total_mass
-    # restoring force of the static curvatures per metre of displacement
-    # (beam frame = lab frame)
-    static_stiffness = -mass * np.asarray(setup.static_curvatures)
-
-    def rhs(_t, y):
-        pos = y[:3]
-        f = (mean_force_at(setup, pos, mode=force_model).total
-             if include_radiation_pressure
-             else dipole_force_at(setup, pos, mode=force_model))
-        f = f + static_stiffness * pos
-        return np.concatenate([y[3:], f / mass])
-
     def escaped(_t, y):
         return np.linalg.norm(y[:3]) - ESCAPE_RADIUS_WAISTS * w0
     escaped.terminal = True
@@ -173,9 +158,10 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     if escaped(0.0, y0) >= 0:
         raise EscapedTrap(f"ion beyond {ESCAPE_RADIUS_WAISTS:g} waists at "
                           "t = 0 s")
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol,
-                    atol=atol, t_eval=np.linspace(0.0, t_end, samples),
-                    events=escaped)
+    sol = solve_ivp(secular_rhs(setup, force_model,
+                                include_radiation_pressure), (0.0, t_end), y0,
+                    method="DOP853", rtol=rtol, atol=atol,
+                    t_eval=np.linspace(0.0, t_end, samples), events=escaped)
     if sol.status == 1:
         raise EscapedTrap(f"ion beyond {ESCAPE_RADIUS_WAISTS:g} waists at "
                           f"t = {sol.t_events[0][0]:.3e} s")
@@ -184,12 +170,13 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
 
     pos = sol.y[:3].T
     vel = sol.y[3:].T
-    kin = 0.5 * mass * np.sum(vel ** 2, axis=-1)
+    kin = 0.5 * setup.ion.total_mass * np.sum(vel ** 2, axis=-1)
     pot = effective_potential_at(setup, pos, mode=force_model) \
         + _static_potential(setup, pos)
     return TrajectoryRecord(times=sol.t, positions=pos, velocities=vel,
                             kinetic_energy=kin, potential_energy=pot,
-                            metadata={"integrator": "DOP853"})
+                            metadata={"integrator": "DOP853",
+                                      "nfev": sol.nfev})
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ class StepFailure(PhysicsError):
 
 
 class UnreachableScale(PhysicsError):
-    """Requested frequency scale is numerically intractable: a drive/secular
-    ratio above 1e6, or a secular frequency whose square is subnormal."""
+    """A numerically intractable scale: a drive/secular ratio above 1e6, a
+    subnormal secular frequency squared, or a waist whose w0^4 underflows."""
 
 
 class Resonance(PhysicsError):

@@ -246,8 +246,9 @@ def intensity_at(beam: LaserBeam, position):
     return _gaussian_profile(beam, *np.asarray(position, dtype=float).T)[2].T
 
 
-def intensity_gradient_at(beam: LaserBeam, position):
-    """Analytic gradient of :func:`intensity_at`, shape (..., 3), W/m^3."""
+def intensity_gradient_at(beam: LaserBeam, position, with_intensity=False):
+    """Analytic gradient of :func:`intensity_at`, shape (..., 3), W/m^3;
+    ``with_intensity`` gives (I, grad I) from the one profile evaluation."""
     pos = np.asarray(position, dtype=float)
     x, y, z = pos.T
     r2, w2, inten = _gaussian_profile(beam, x, y, z)
@@ -258,7 +259,7 @@ def intensity_gradient_at(beam: LaserBeam, position):
     grad[..., 0] = (radial * x).T
     grad[..., 1] = (radial * y).T
     grad[..., 2] = (inten * dw2 * (2.0 * r2 - w2) / (w2 * w2)).T
-    return grad
+    return (inten.T, grad) if with_intensity else grad
 
 
 def saturation_at(setup: TrapSetup, position):

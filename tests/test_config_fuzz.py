@@ -3,9 +3,11 @@
 Each draw starts from ``demos/mg24.json``, gives the beam by power or by
 depth, and replaces some of the ion, transition, laser, static,
 environment and blackbody values with ordinary numbers, numbers of the
-wrong sign, or extremes out to +-1e+-300.  Every draw must exit 0, 2 or 3
-(an uncaught exception, the CLI's exit 1, fails the test) and leave
-``report.json``/``report.txt`` exactly when it exits 0.
+wrong sign, or extremes out to +-1e+-300; one draw in eight instead
+makes the ion neutral in a bath at one of those extreme temperatures.
+Every draw must exit 0, 2 or 3 (an uncaught exception, the CLI's exit 1,
+fails the test) and leave ``report.json``/``report.txt`` exactly when it
+exits 0.
 """
 
 import contextlib
@@ -53,8 +55,12 @@ def _configs(draw):
     beam_key = draw(st.sampled_from(["power_mW", "depth_mK"]))
     beam_value = laser.pop("depth_mK") if beam_key == "depth_mK" else 100.0
     cfg["static"]["curvatures_2pi_kHz_squared"] = [0.0, 0.0, 2025.0]
-    for section, key in draw(st.lists(st.sampled_from(_KEYS), min_size=1,
-                                      max_size=3, unique=True)):
+    # a neutral ion heats at rate 0 in any bath, so a temperature whose
+    # Bose occupation leaves the float range still exits 0 and its stderr
+    # is read; such a draw changes no other value
+    neutral_bath = draw(st.integers(min_value=0, max_value=7)) == 0
+    for section, key in [] if neutral_bath else draw(st.lists(
+            st.sampled_from(_KEYS), min_size=1, max_size=3, unique=True)):
         if key == "beam":
             beam_value = draw(_value(beam_value))
         elif key == "curvatures_2pi_kHz_squared":
@@ -62,6 +68,9 @@ def _configs(draw):
         else:
             cfg[section][key] = draw(_value(cfg[section][key]))
     laser[beam_key] = beam_value
+    if neutral_bath:
+        cfg["ion"]["charge_e"] = 0.0
+        cfg["environment"]["temperature_K"] = draw(st.sampled_from(_EXTREMES))
     return cfg
 
 

@@ -399,6 +399,67 @@ def test_one_point_and_a_batch_give_the_same_bits(mg_setup):
         assert np.all(grid.reshape(one.shape) == one), name
 
 
+@pytest.mark.parametrize("point", [(1e-6, -2e-6, 3e-5),
+                                   np.full((4, 2, 3), 1e-6)])
+@pytest.mark.parametrize("evaluate", [
+    lambda setup, p: dipole_force_at(setup, p, mode="low_sat"),
+    lambda setup, p: dipole_force_at(setup, p, mode="exact_log"),
+    lambda setup, p: mean_force_at(setup, p, mode="low_sat"),
+    lambda setup, p: mean_force_at(setup, p, mode="exact_log"),
+], ids=["dipole-low_sat", "dipole-exact_log", "mean-low_sat",
+        "mean-exact_log"])
+def test_one_profile_per_force_call(mg_setup, monkeypatch, evaluate, point):
+    # s and grad s share one (r^2, w(z)^2, I), through the traced public
+    # intensity_gradient_at
+    from optrap import dipole_trap, model
+    calls = {"profile": 0, "gradient": 0}
+    profile, gradient = model._gaussian_profile, model.intensity_gradient_at
+
+    def counted_profile(*args):
+        calls["profile"] += 1
+        return profile(*args)
+
+    def counted_gradient(*args, **kwargs):
+        calls["gradient"] += 1
+        return gradient(*args, **kwargs)
+    monkeypatch.setattr(model, "_gaussian_profile", counted_profile)
+    monkeypatch.setattr(dipole_trap, "intensity_gradient_at", counted_gradient)
+    evaluate(mg_setup, point)
+    assert calls == {"profile": 1, "gradient": 1}
+
+
+@pytest.mark.parametrize("mode", ["low_sat", "exact_log"])
+@pytest.mark.parametrize("radiation", [True, False])
+def test_secular_rhs_repeats_the_public_force_bits(mode, radiation):
+    # the full-mode kernel takes the public functions' operations in their
+    # order on floats: wherever libm's exp and numpy's agree on the profile's
+    # argument its bits are theirs, and elsewhere the exp ulp moves it by at
+    # most a few ulps
+    import math
+    from optrap.dipole_trap import secular_rhs
+    from optrap.model import _gaussian_profile
+    setup = make_reference_setup(static=(1e10, 2e10, 3e10))
+    rhs = secular_rhs(setup, mode, radiation)
+    mass = setup.ion.total_mass
+    stiffness = -mass * np.asarray(setup.static_curvatures)
+    rng = np.random.default_rng(5)
+    scale = np.array([WAIST, WAIST, setup.beam.rayleigh_range])
+    agree = 0
+    for pos in rng.normal(size=(2000, 3)) * scale:
+        y = np.concatenate([pos, rng.normal(size=3)])
+        force = (mean_force_at(setup, pos, mode=mode).total if radiation
+                 else dipole_force_at(setup, pos, mode=mode))
+        expected = np.concatenate([y[3:], (force + stiffness * pos) / mass])
+        got = rhs(0.0, y)
+        r2, w2, _ = _gaussian_profile(setup.beam, *pos)
+        if np.exp(-2.0 * r2 / w2) == math.exp(-2.0 * r2 / w2):
+            agree += 1
+            assert np.array_equal(got, expected), pos
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+    assert agree > 1000
+
+
 # ---------------------------------------------------------------------------
 # the focus field chain runs once per setup
 # ---------------------------------------------------------------------------

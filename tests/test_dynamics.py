@@ -1,6 +1,8 @@
 """Trajectory integration, the driven oscillator, equilibrium shift."""
 
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -152,6 +154,19 @@ def test_escape_radius_tie_is_refused():
         record = integrate_full(setup, ((inside, 0.0, 0.0), (0.0, 0.0, 0.0)),
                                 1e-6, samples=11)
     assert np.all(record.positions == (inside, 0.0, 0.0))
+
+
+def test_waist_whose_fourth_power_underflows_is_refused():
+    # the intensity gradient divides by w(z)^4, which underflows to 0 for
+    # w0 = 1e-82 m: the run exits as a physics error before it integrates,
+    # not on a float division by zero inside the force
+    from optrap import IonSpecies, LaserBeam, TrapSetup
+    from conftest import DETUNING, LINEWIDTH, MASS_U
+    beam = LaserBeam(wavelength=1e-88, waist_radius=1e-82, detuning=DETUNING,
+                     power=1e-3)
+    setup = TrapSetup(IonSpecies.from_amu(MASS_U, 1.0), beam, LINEWIDTH)
+    with pytest.raises(UnreachableScale, match=r"w0\^4 underflows"):
+        integrate_full(setup, ((1e-84, 0.0, 0.0), (0.0, 0.0, 0.0)), 1e-95)
 
 
 def test_initial_condition_warning(mg_setup):
@@ -646,6 +661,45 @@ def test_full_exact_log_radiation_csv_pinned_bytes():
         DATA / "trajectory_full_exact_log_radiation.csv").read_text()
 
 
+def _avx512_dispatch():
+    """The AVX512-class targets that numpy dispatches to on this host, by
+    numpy's own names (a name outside its list only draws a warning)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                       # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__
+            if (name.startswith("AVX512") or name == "X86_V4")
+            and umath.__cpu_features__.get(name)]
+
+
+def test_pinned_bytes_hold_without_avx512():
+    # numpy's AVX512 exp and log1p loops differ from libm by an ulp on a few
+    # per cent of arguments, and an ulp in the force moves DOP853's steps.
+    # A child process re-runs the three pinned-trajectory tests with those
+    # loops off (numpy reads the variable once, at import), as on an
+    # AVX2-only CPU; on a host without AVX512 nothing is switched off.
+    features = _avx512_dispatch()
+    env = {key: value for key, value in os.environ.items()
+           if key != "NPY_DISABLE_CPU_FEATURES"}
+    if features:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(features)
+    tests = [f"{__file__}::{name}" for name in (
+        "test_driven_csv_pinned_bytes", "test_full_low_sat_csv_pinned_bytes",
+        "test_full_exact_log_radiation_csv_pinned_bytes")]
+    child = "\n".join([
+        "import sys, pytest",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from test_dynamics import _avx512_dispatch",
+        "assert _avx512_dispatch() == [], _avx512_dispatch()",
+        f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{tests!r}]))"])
+    done = subprocess.run([sys.executable, "-c", child], env=env,
+                          cwd=Path(__file__).parent.parent,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "3 passed" in done.stdout, done.stdout
+
+
 @pytest.mark.parametrize("rtol,atol", [(1e-10, 0.0), (1e-10, 1e-200),
                                        (1e-10, float("nan")), (0.0, 1e-16),
                                        (-1e-10, 1e-16), (1e-15, 1e-16),
@@ -666,31 +720,52 @@ def test_integrate_full_rejects_bad_tolerances_before_solving(
 @pytest.mark.parametrize("radiation", [True, False])
 def test_integrate_full_one_force_call_per_evaluation(
         mg_setup, monkeypatch, radiation, force_model):
-    # each right-hand-side evaluation makes exactly one public force call:
-    # mean_force_at with radiation pressure, dipole_force_at without
-    from optrap import dynamics
-    calls = {"mean_force_at": 0, "dipole_force_at": 0}
-    for name in calls:
-        def counted(*args, _name=name, _force=getattr(dynamics, name),
-                    **kwargs):
-            calls[_name] += 1
-            return _force(*args, **kwargs)
-        monkeypatch.setattr(dynamics, name, counted)
+    # each right-hand-side evaluation is exactly one call of the run's float
+    # kernel (dipole_trap.secular_rhs), no public force or profile function
+    # runs while solve_ivp does, and the record keeps solve_ivp's nfev
+    from optrap import dipole_trap, dynamics, model
+    kernel_calls = []
+    build_kernel = dynamics.secular_rhs
+
+    def counted_kernel(*args):
+        rhs = build_kernel(*args)
+
+        def counted(t, y):
+            kernel_calls.append(t)
+            return rhs(t, y)
+        return counted
+    monkeypatch.setattr(dynamics, "secular_rhs", counted_kernel)
+    public_calls = []
+    solving = []
+    for module in (dipole_trap, dynamics, model):
+        for name in ("dipole_force_at", "mean_force_at",
+                     "effective_potential_at", "saturation_at",
+                     "intensity_at", "intensity_gradient_at"):
+            if hasattr(module, name):
+                def watched(*args, _name=name, _f=getattr(module, name),
+                            **kwargs):
+                    if solving:
+                        public_calls.append(_name)
+                    return _f(*args, **kwargs)
+                monkeypatch.setattr(module, name, watched)
     solutions = []
     solve_ivp = dynamics.solve_ivp
 
     def kept_solve_ivp(*args, **kwargs):
-        solutions.append(solve_ivp(*args, **kwargs))
+        solving.append(True)
+        try:
+            solutions.append(solve_ivp(*args, **kwargs))
+        finally:
+            solving.clear()
         return solutions[-1]
     monkeypatch.setattr(dynamics, "solve_ivp", kept_solve_ivp)
     setup = make_reference_setup(static=(0.0, 0.0, 1e10))
-    integrate_full(setup, ((7e-8, 0.0, 0.0), (0.0, 0.0, 0.0)), 2e-6,
-                   include_radiation_pressure=radiation,
-                   force_model=force_model, samples=9)
-    used, unused = (("mean_force_at", "dipole_force_at") if radiation
-                    else ("dipole_force_at", "mean_force_at"))
-    assert calls[used] == solutions[0].nfev > 0
-    assert calls[unused] == 0
+    record = integrate_full(setup, ((7e-8, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                            2e-6, include_radiation_pressure=radiation,
+                            force_model=force_model, samples=9)
+    assert len(kernel_calls) == solutions[0].nfev > 0
+    assert record.metadata["nfev"] == len(kernel_calls)
+    assert public_calls == []
 
 
 # with radiation pressure on, the force model selects only the dipolar part,

@@ -12,6 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from optrap.cli import main
+from optrap.dynamics import MIN_RTOL
 
 from conftest import foreign_warnings
 
@@ -25,9 +26,10 @@ _WRONG_TYPE = st.one_of(st.none(), st.text(max_size=4), st.booleans(),
 _FULL = {
     "force_model": (st.sampled_from(["exact_log", "low_sat"]),
                     st.one_of(st.just("bar"), _WRONG_TYPE)),
-    "rtol": (st.one_of(st.floats(min_value=1e-13, max_value=1e-2),
-                       st.sampled_from([1e-300, 1.0, 1e300])),
-             st.one_of(st.sampled_from([0, -1, -1e-10]), _WRONG_TYPE)),
+    "rtol": (st.one_of(st.floats(min_value=MIN_RTOL, max_value=1e-2),
+                       st.sampled_from([MIN_RTOL, 1.0, 1e300])),
+             st.one_of(st.sampled_from([0, -1, -1e-10, 1e-300]),
+                       _WRONG_TYPE)),
     "atol": (st.one_of(st.floats(min_value=1e-20, max_value=1e-6),
                        st.sampled_from([1e-100, 1.0])),
              st.one_of(st.sampled_from([0, -1e-16, 1e-200]), _WRONG_TYPE)),
