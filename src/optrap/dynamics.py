@@ -5,12 +5,13 @@ Two deliberately separate integrations:
 * :func:`integrate_full` follows the secular motion in the full Gaussian
   trap under the optical mean force (the fast optical oscillation is
   excluded by construction, matching the time-scale separation the trap
-  analysis rests on).  scipy's DOP853, the adaptive 8th-order
-  Dormand-Prince pair (Hairer, Norsett & Wanner, *Solving ODEs I*).  Its
-  right-hand side is one kernel per run,
-  :func:`~optrap.dipole_trap.secular_rhs`, on Python floats through libm's
-  exp, calling no public force function; ``metadata["nfev"]`` keeps
-  solve_ivp's count of evaluations.
+  analysis rests on).  DOP853, the adaptive 8th-order Dormand-Prince
+  pair (Hairer, Norsett & Wanner, *Solving ODEs I*), runs through
+  :func:`optrap.integrators.solve_ivp`, the package's port of scipy's
+  code path, tested bit for bit against scipy.  Its right-hand side is
+  one kernel per run, :func:`~optrap.dipole_trap.secular_rhs`, on Python
+  floats through libm's exp, calling no public force function;
+  ``metadata["nfev"]`` keeps the integrator's count of evaluations.
 
 * :func:`integrate_driven` solves the charge-monopole driven harmonic
   oscillator M x'' = Q E cos(w_d t) - M w0^2 x with the fixed-step RK8
@@ -29,7 +30,9 @@ the table never exists whole, as Python floats or as one array.
 Radiation pressure shifts the axial equilibrium away from the focus;
 :func:`equilibrium_shift` locates that equilibrium by a bracketed
 bisection of the total axial force (dipole + radiation pressure + static
-restoring force).
+restoring force).  That bisection and the bounded minimiser of
+:func:`dominant_frequency` are ports of scipy's loops, so that no command
+imports scipy.
 """
 
 import math
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import (EscapedTrap, InitialConditionWarning, NoRoot, Resonance,
                      StepFailure, UnreachableScale)
-from .integrators import rk8_scalar_oscillator
+from .integrators import rk8_scalar_oscillator, solve_ivp
 from .model import TrapSetup
 from .dipole_trap import (check_force_model, effective_potential_at,
                           mean_force_at, secular_rhs)
@@ -49,20 +52,13 @@ from .dipole_trap import (check_force_model, effective_potential_at,
 ESCAPE_RADIUS_WAISTS = 100.0
 INITIAL_WARNING_WAISTS = 5.0
 # smallest tolerances: atol = 0 hangs DOP853 on state components that stay
-# exactly zero (0/0 error ratios), 1e-100 ends cleanly; scipy raises an rtol
-# below 100 eps to that floor with a warning, so a smaller one is refused
+# exactly zero (0/0 error ratios), 1e-100 ends cleanly; 100 eps is scipy's
+# floor on rtol (it raises a smaller one with a warning), kept as a refusal
 MIN_ATOL = 1e-100
 MIN_RTOL = 100 * sys.float_info.epsilon
 DEFAULT_SAMPLES = 4097   # integrate_full's output samples
 MIN_STEPS_PER_PERIOD = 64   # integrate_driven's floor on steps per period
 CSV_BLOCK_ROWS = 512     # trajectory CSV rows formatted per block
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use so that importing
-    the package (and the report and stability commands) loads no scipy."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -129,16 +125,21 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
     Raises :class:`EscapedTrap` past 100 waists (at t = 0 for a start
     there) and :class:`StepFailure` if the tolerances cannot be met;
     ``ValueError``, before integrating, for ``atol`` below ``MIN_ATOL``,
-    ``rtol`` below ``MIN_RTOL`` or a ``force_model`` outside ``FORCE_MODELS``.
+    ``rtol`` below ``MIN_RTOL``, ``t_end`` <= 0, a non-finite start or a
+    ``force_model`` outside ``FORCE_MODELS``.
     """
     if not (atol >= MIN_ATOL and rtol >= MIN_RTOL):
         raise ValueError(f"need atol >= {MIN_ATOL:g} and rtol >= {MIN_RTOL!r}"
                          f", got atol={atol!r}, rtol={rtol!r}")
+    if not t_end > 0:
+        raise ValueError(f"need t_end > 0, got {t_end!r}")
     check_force_model(force_model)
     position0 = np.asarray(initial[0], dtype=float)
     velocity0 = np.asarray(initial[1], dtype=float)
     if position0.shape != (3,) or velocity0.shape != (3,):
         raise ValueError("initial position and velocity must be 3-vectors")
+    if not (np.all(np.isfinite(position0)) and np.all(np.isfinite(velocity0))):
+        raise ValueError("initial position and velocity must be finite")
     w0 = setup.beam.waist_radius
     # the confinement scale is anisotropic: waists transversally,
     # Rayleigh ranges along the beam
@@ -147,10 +148,8 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
             > INITIAL_WARNING_WAISTS * setup.beam.rayleigh_range):
         warnings.warn("initial position beyond 5 trap length scales from "
                       "the focus", InitialConditionWarning, stacklevel=2)
-    def escaped(_t, y):
+    def escaped(_t, y):    # the terminal event, on an outward crossing
         return np.linalg.norm(y[:3]) - ESCAPE_RADIUS_WAISTS * w0
-    escaped.terminal = True
-    escaped.direction = 1.0
 
     y0 = np.concatenate([position0, velocity0])
     # the event fires only on an outward crossing, so a start past it is
@@ -160,8 +159,8 @@ def integrate_full(setup: TrapSetup, initial, t_end: float,
                           "t = 0 s")
     sol = solve_ivp(secular_rhs(setup, force_model,
                                 include_radiation_pressure), (0.0, t_end), y0,
-                    method="DOP853", rtol=rtol, atol=atol,
-                    t_eval=np.linspace(0.0, t_end, samples), events=escaped)
+                    t_eval=np.linspace(0.0, t_end, samples), rtol=rtol,
+                    atol=atol, event=escaped)
     if sol.status == 1:
         raise EscapedTrap(f"ion beyond {ESCAPE_RADIUS_WAISTS:g} waists at "
                           f"t = {sol.t_events[0][0]:.3e} s")
@@ -332,7 +331,8 @@ def integrate_driven(spec: DrivenOscillatorSpec, t_end: float = None,
     return TrajectoryRecord(times=ts, positions=positions,
                             velocities=velocities, kinetic_energy=kin,
                             potential_energy=pot,
-                            metadata={"integrator": "rk8-fixed"})
+                            metadata={"integrator": "rk8-fixed",
+                                      "rk8_steps": 4})   # one_step's calls
 
 
 def steady_drive_amplitude(record: TrajectoryRecord,
@@ -369,7 +369,6 @@ def equilibrium_shift(setup: TrapSetup) -> float:
     maximum restoring force inside +-zR (the ion is not axially trapped,
     as happens for a weak purely optical axial confinement).
     """
-    from scipy.optimize import bisect
     axial_curv = setup.static_curvatures[2]
     mass = setup.ion.total_mass
 
@@ -385,10 +384,80 @@ def equilibrium_shift(setup: TrapSetup) -> float:
     previous = 0.0
     for z in grid:
         if axial_force(z) <= 0.0:
-            return float(bisect(axial_force, previous, z, xtol=1e-12))
+            return float(_bisect(axial_force, previous, z, xtol=1e-12))
         previous = z
     raise NoRoot("no axial force equilibrium within one Rayleigh range; "
                  "radiation pressure exceeds the available restoring force")
+
+
+def _bisect(f, xa, xb, xtol, maxiter=100):
+    """Root of f between xa and xb, where f changes sign or is zero:
+    scipy.optimize.bisect's C loop at rtol = 4 eps, returning its bits.
+    Raises :class:`NoRoot` after ``maxiter`` halvings, as scipy raises."""
+    rtol = 4 * sys.float_info.epsilon
+    fa, fb = f(xa), f(xb)
+    if fa == 0 or fb == 0:
+        return xa if fa == 0 else xb
+    dm = xb - xa
+    for _ in range(maxiter):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise NoRoot(f"bisection did not converge in {maxiter} halvings; "
+                 f"last midpoint {xm!r}")
+
+
+def _minimize_bounded(func, a, b, xatol):
+    """Minimum of func on [a, b]: scipy's _minimize_scalar_bounded loop
+    (Brent's fmin, golden section with parabolic steps) at maxiter 500,
+    returning its x, with scipy's operations for scipy's bits."""
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = func(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500 or not np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+            return xf
+        golden = True
+        if np.abs(e) > tol1:    # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q, r, e = np.abs(q), e, rat
+            golden = not (np.abs(p) < np.abs(0.5 * q * r)
+                          and p > q * (a - xf) and p < q * (b - xf))
+            if not golden:
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
 
 
 def dominant_frequency(times, values) -> float:
@@ -400,7 +469,6 @@ def dominant_frequency(times, values) -> float:
     peaks in the lowest non-zero bin (fewer than about two cycles); equal
     bin magnitudes resolve to the lower bin, so a tie with that bin is NaN.
     """
-    from scipy.optimize import minimize_scalar
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.min() == values.max():
@@ -418,8 +486,5 @@ def dominant_frequency(times, values) -> float:
     def negative_projection(omega):
         return -abs(np.sum(windowed * np.exp(-1j * omega * times)))
 
-    result = minimize_scalar(negative_projection,
-                             bounds=(seed - bin_width, seed + bin_width),
-                             method="bounded",
-                             options={"xatol": bin_width * 1e-9})
-    return float(result.x)
+    return float(_minimize_bounded(negative_projection, seed - bin_width,
+                                   seed + bin_width, bin_width * 1e-9))

@@ -79,6 +79,8 @@ class FloquetResult:
     micromotion_ratio: float           # (|c_k+1| + |c_k-1|) / |c_k| about the
     #                                    dominant harmonic k, NaN if unstable
     from_analytic_law: bool = False    # small-parameter law used instead of Fourier
+    half_period_steps: int = 0         # RK8 steps over [0, pi/2] (0: analytic law)
+    monodromy_integrations: int = 0    # 2 on a stable point (the spectrum's), 1 else
 
 
 def optical_mathieu_params(setup: TrapSetup, axis: int) -> MathieuParams:
@@ -129,14 +131,7 @@ def mathieu_monodromy(a, q, steps: int = None):
     """
     a_arr, q_arr = np.broadcast_arrays(np.asarray(a, float), np.asarray(q, float))
     if steps is None:
-        a_max, q_max = (float(np.max(np.abs(v))) for v in (a_arr, q_arr))
-        steps = STEPS_PER_RATE * math.sqrt(max(4.0, a_max + 2.0 * q_max))
-        if not steps <= MAX_HALF_STEPS:
-            raise PhysicsError(
-                f"|a| = {a_max:.6g}, |q| = {q_max:.6g} would need {steps:.3g} "
-                "monodromy steps per half period, more than the limit "
-                f"{MAX_HALF_STEPS}")
-        steps = math.ceil(steps)
+        steps = _half_period_steps(a_arr, q_arr)
     if steps < 1:
         raise ValueError("steps must be >= 1")
 
@@ -160,6 +155,18 @@ def mathieu_monodromy(a, q, steps: int = None):
     diagonal = x1 * v2 + x2 * v1
     mono = np.array([[diagonal, 2.0 * x2 * v2], [2.0 * x1 * v1, diagonal]])
     return np.moveaxis(mono, (0, 1), (-2, -1)).reshape(a_arr.shape + (2, 2))
+
+
+def _half_period_steps(a, q) -> int:
+    """:func:`mathieu_monodromy`'s default step count for these points."""
+    a_max, q_max = (float(np.max(np.abs(v))) for v in (a, q))
+    steps = STEPS_PER_RATE * math.sqrt(max(4.0, a_max + 2.0 * q_max))
+    if not steps <= MAX_HALF_STEPS:
+        raise PhysicsError(
+            f"|a| = {a_max:.6g}, |q| = {q_max:.6g} would need {steps:.3g} "
+            "monodromy steps per half period, more than the limit "
+            f"{MAX_HALF_STEPS}")
+    return math.ceil(steps)
 
 
 def _floquet(mono):
@@ -243,9 +250,13 @@ def monodromy_stability(params, steps: int = None) -> FloquetResult:
         phase = 1j * np.pi * np.conj(b)
         mults = (np.exp(phase), np.exp(-phase))
         stable, exponent, ratio = beta_sq > 0.0, abs(b), 0.5 * abs(q)
+        steps = integrations = 0
     else:
+        if steps is None:
+            steps = _half_period_steps(a, q)
         mono = mathieu_monodromy(a, q, steps=steps)
         stable, exponent, mults = _floquet(mono)
+        integrations = 2 if stable else 1
         if stable:
             _, coeffs = floquet_eigenfunction_spectrum(a, q, steps=steps)
             k = int(np.argmax(np.abs(coeffs)))
@@ -256,7 +267,8 @@ def monodromy_stability(params, steps: int = None) -> FloquetResult:
                          stable=bool(stable),
                          characteristic_exponent=float(exponent),
                          micromotion_ratio=ratio if stable else float("nan"),
-                         from_analytic_law=analytic)
+                         from_analytic_law=analytic, half_period_steps=steps,
+                         monodromy_integrations=integrations)
 
 
 def micromotion_ratio_optical(setup: TrapSetup, axis: int) -> float:
@@ -288,6 +300,7 @@ class StabilityScan:
     stable: np.ndarray     # (Na, Nq) bool
     exponent: np.ndarray   # (Na, Nq); oscillation exponent nu if stable,
     #                        growth rate ln|lambda|/pi otherwise
+    half_period_steps: int  # RK8 steps over [0, pi/2], one count for the grid
 
     def rows(self):
         for i, a in enumerate(self.a_values):
@@ -335,6 +348,8 @@ def stability_scan(a_range, q_range, step, steps: int = None
     a_vals = _range_values(a_range[0], a_range[1], step_a)
     q_vals = _range_values(q_range[0], q_range[1], step_q)
     aa, qq = np.meshgrid(a_vals, q_vals, indexing="ij")
+    if steps is None:
+        steps = _half_period_steps(aa, qq)
     stable, exponent, _ = _floquet(mathieu_monodromy(aa, qq, steps=steps))
-    return StabilityScan(a_values=a_vals, q_values=q_vals,
-                         stable=stable, exponent=exponent)
+    return StabilityScan(a_values=a_vals, q_values=q_vals, stable=stable,
+                         exponent=exponent, half_period_steps=steps)

@@ -772,6 +772,26 @@ def test_import_cli_loads_no_scipy(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("command", ["simulate-full", "simulate-driven",
+                                     "stability", "report"])
+def test_commands_load_no_scipy(tmp_path, mg24_config, command):
+    # scipy is a test dependency: each command runs on the package's ports
+    # (DOP853 and the bounded minimiser in a full simulate)
+    if command == "simulate-full":
+        _full(mg24_config, t_end_s=1e-5, samples=65)
+    elif command == "simulate-driven":
+        _driven(mg24_config, drive_periods=2)
+    mg24_config["scan"].update(a_step=0.1, q_step=0.1)
+    config = write_config(tmp_path, mg24_config)
+    argv = [command.split("-")[0], str(config), "--out-dir", str(tmp_path)]
+    proc = _run_cli_process(
+        tmp_path, "-c", "import sys; from optrap.cli import main; "
+        f"code = main({argv!r}); print(code, sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_driven_overflow_prints_only_its_exit_line(tmp_path, mg24_config):
     config = write_config(tmp_path, _driven(mg24_config, drive_periods=2,
                                             field_V_m=1e300))

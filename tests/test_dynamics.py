@@ -409,6 +409,23 @@ def _stepped(spec, **run):
     return np.arange(nsteps + 1) * h, np.array(xs), np.array(vs)
 
 
+@pytest.mark.parametrize("periods", [2, 200])
+def test_driven_metadata_counts_its_kernel_steps(monkeypatch, periods):
+    from optrap import dynamics
+    kernel_steps = []
+    kernel = dynamics.rk8_scalar_oscillator
+
+    def counted(accel, t0, h, nsteps, x0, v0):
+        kernel_steps.append(nsteps)
+        return kernel(accel, t0, h, nsteps, x0, v0)
+    monkeypatch.setattr(dynamics, "rk8_scalar_oscillator", counted)
+    spec = DrivenOscillatorSpec(omega0=2e5, drive_frequency=2e6, charge=1.6e-19,
+                                field_amplitude=1.0, mass=4e-26)
+    record = integrate_driven(spec, drive_periods=periods)
+    assert record.metadata["rk8_steps"] == sum(kernel_steps) == 4
+    assert len(record.times) > 4 * periods
+
+
 @pytest.mark.parametrize("shape", [None, (5, 2)], ids=["float", "array"])
 def test_rk8_single_steps_are_one_call(shape):
     # _stepped above relies on both identities, bit for bit: n one-step
@@ -714,6 +731,26 @@ def test_integrate_full_rejects_bad_tolerances_before_solving(
     with pytest.raises(ValueError, match="atol"):
         integrate_full(mg_setup, ((7e-8, 0.0, 0.0), (0.0, 0.0, 0.0)), 1e-7,
                        rtol=rtol, atol=atol)
+
+
+_AT_REST = ((7e-8, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("t_end,initial,match", [
+    (0.0, _AT_REST, "t_end > 0"), (-1e-7, _AT_REST, "t_end > 0"),
+    (float("nan"), _AT_REST, "t_end > 0"),
+    (1e-7, ((float("nan"), 0.0, 0.0), (0.0, 0.0, 0.0)), "finite"),
+    (1e-7, ((7e-8, 0.0, 0.0), (0.0, float("inf"), 0.0)), "finite")])
+def test_integrate_full_rejects_bad_span_or_start_before_solving(
+        mg_setup, monkeypatch, t_end, initial, match):
+    # DOP853 runs forward from a finite state only
+    from optrap import dynamics
+
+    def never(*args, **kwargs):
+        raise AssertionError("solve_ivp was called")
+    monkeypatch.setattr(dynamics, "solve_ivp", never)
+    with pytest.raises(ValueError, match=match):
+        integrate_full(mg_setup, initial, t_end)
 
 
 @pytest.mark.parametrize("force_model", ["low_sat", "exact_log"])

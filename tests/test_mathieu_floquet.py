@@ -630,3 +630,57 @@ def test_dominant_harmonic_ratio_is_converged_in_hills_window(
         wide = monodromy_stability((a, q)).micromotion_ratio
     assert np.isfinite(ratio)
     assert ratio == pytest.approx(wide, rel=1e-12)
+
+
+def _count_integrations(monkeypatch):
+    """Lists that record each mathieu_monodromy call and the nsteps of each
+    RK8 kernel call the module makes."""
+    from optrap import mathieu_floquet
+    monodromies, kernel_steps = [], []
+    monodromy, kernel = mathieu_floquet.mathieu_monodromy, rk8_oscillator
+
+    def counted_monodromy(*args, **kwargs):
+        monodromies.append(args)
+        return monodromy(*args, **kwargs)
+
+    def counted_kernel(accel, t0, h, nsteps, x0, v0):
+        kernel_steps.append(nsteps)
+        assert h * nsteps == pytest.approx(np.pi / 2, rel=1e-15)
+        return kernel(accel, t0, h, nsteps, x0, v0)
+    monkeypatch.setattr(mathieu_floquet, "mathieu_monodromy", counted_monodromy)
+    monkeypatch.setattr(mathieu_floquet, "rk8_oscillator", counted_kernel)
+    return monodromies, kernel_steps
+
+
+@pytest.mark.parametrize("a,q,steps,stable", [
+    (0.1, 0.3, None, True), (0.1, 0.3, 300, True), (40.0, 12.0, None, True),
+    (0.0, 0.95, None, False), (1.0, 3.0, 50, False)])
+def test_floquet_result_counts_its_integrations(monkeypatch, a, q, steps,
+                                                stable):
+    monodromies, kernel_steps = _count_integrations(monkeypatch)
+    result = monodromy_stability((a, q), steps=steps)
+    assert result.stable is stable
+    assert result.monodromy_integrations == len(monodromies) == (
+        2 if stable else 1)
+    # each integration runs the two fundamental solutions on floats
+    assert kernel_steps == [result.half_period_steps] * 2 * len(monodromies)
+    if steps is not None:
+        assert result.half_period_steps == steps
+
+
+def test_analytic_floquet_result_integrates_nothing(monkeypatch):
+    monodromies, kernel_steps = _count_integrations(monkeypatch)
+    with pytest.warns(StiffnessWarning):
+        result = monodromy_stability((1e-20, -5e-21))
+    assert result.from_analytic_law
+    assert (result.half_period_steps, result.monodromy_integrations) == (0, 0)
+    assert monodromies == kernel_steps == []
+
+
+@pytest.mark.parametrize("steps", [None, 7])
+def test_stability_scan_records_its_step_count(monkeypatch, steps):
+    _, kernel_steps = _count_integrations(monkeypatch)
+    scan = stability_scan((0.0, 3.0), (0.0, 2.0), 0.5, steps=steps)
+    assert kernel_steps == [scan.half_period_steps]    # one batched run
+    # 40 steps per unit rate sqrt(max|a| + 2 max|q|) = sqrt(7): 105.8 -> 106
+    assert scan.half_period_steps == (steps or 106)

@@ -82,3 +82,16 @@ def test_no_unreferenced_public_name():
                     and not node.name.startswith("_")
                     and not readers.get(node.name, set()) - {(path, node.name)})
     assert not unread, f"public names nothing reads: {unread}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # no command imports scipy: the package ports the few code paths it
+    # uses (DOP853, a bisection, a bounded minimiser), and the tests keep
+    # scipy as their reference
+    found = [node.lineno for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "scipy" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.level == 0
+             and node.module.split(".")[0] == "scipy"]
+    assert not found, f"{path.name} imports scipy on lines {found}"
