@@ -52,9 +52,10 @@ def _text_digits() -> int:
 
 
 def _write_outputs(out_dir: str, files: dict) -> Path:
-    """Write ``files`` (name -> text) into ``out_dir`` whole or not at all:
-    no output path may be a directory, every temp file is written before
-    any is renamed, and a failed write or rename leaves no temp file."""
+    """Write ``files`` (name -> a text, or an iterable of text pieces
+    written in order) into ``out_dir`` whole or not at all: no output path
+    may be a directory, every temp file is written before any is renamed,
+    and an exception in a write, a rename or a piece leaves no temp file."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in files:
@@ -64,10 +65,14 @@ def _write_outputs(out_dir: str, files: dict) -> Path:
     try:
         for name, text in files.items():
             tmps.append(out / (name + ".tmp"))
-            tmps[-1].write_text(text, encoding="utf-8")
+            if isinstance(text, str):
+                tmps[-1].write_text(text, encoding="utf-8")
+            else:
+                with tmps[-1].open("w", encoding="utf-8") as stream:
+                    stream.writelines(text)
         for name, tmp in zip(files, tmps):
             os.replace(tmp, out / name)
-    except OSError:
+    except BaseException:
         for tmp in tmps:
             if tmp.is_file():
                 tmp.unlink()
@@ -116,7 +121,7 @@ def run_simulate(args) -> int:
     else:
         record = integrate_driven(DrivenOscillatorSpec(**sim["spec"]),
                                   **sim["run"])
-    # everything that can fail runs before the one write
+    # every check that can refuse the run comes before the write
     if not all(np.isfinite(series).all() for series in (
             record.positions, record.velocities, record.total_energy)):
         raise PhysicsError("the trajectory leaves the float range")
@@ -129,7 +134,7 @@ def run_simulate(args) -> int:
         warnings.warn("x(t) spans fewer than two cycles: the dominant "
                       "frequency of the x component is nan",
                       FrequencyRangeWarning)
-    out = _write_outputs(args.out_dir, {"trajectory.csv": record.to_csv_text()})
+    out = _write_outputs(args.out_dir, {"trajectory.csv": record.csv_pieces()})
     print(f"final_total_energy_J={format_sig(record.total_energy[-1], 12)} "
           f"dominant_frequency_rad_s={format_sig(freq, digits)} "
           f"samples={len(record.times)}")

@@ -34,7 +34,8 @@ _SIM_DRIVEN_OPTION_KEYS = {"omega0_2pi_kHz", "drive_ratio", "field_V_m",
 # about 0.5 kB per cell (tracemalloc, 2,500 to 40,000 cells), so ~0.5 GB
 MAX_SCAN_CELLS = 1_000_000
 # most rows one trajectory may have: a full or driven `trap simulate` peaks
-# at about 0.48 kB per row (tracemalloc, 10,000 to 41,000 rows), so ~0.5 GB
+# at 0.12-0.16 kB per row (tracemalloc, 10,000 to 41,000 rows; the CSV is
+# streamed to its file), so ~0.16 GB
 MAX_TRAJECTORY_ROWS = 1_000_000
 # longest full-mode span, in periods of the fastest real secular frequency:
 # DOP853 spends ~260 force evaluations per period, so mg24 over 10**4
@@ -262,6 +263,7 @@ def _validate_simulate(sim: dict, ion: IonSpecies) -> dict:
     if mode == "full":
         initial = tuple(_vector3(initial, key, "simulate.initial")
                         for key in keys)
+        _check_speed(math.hypot(*initial[1]))
         t_end = _number(sim, "t_end_s", "simulate", minimum=0.0,
                         strict_min=True)
         if "force_model" in options:
@@ -284,6 +286,7 @@ def _validate_simulate(sim: dict, ion: IonSpecies) -> dict:
         # 1-D driven motion: scalar initial conditions
         initial = tuple(_number(initial, key, "simulate.initial",
                                 required=False, default=0.0) for key in keys)
+        _check_speed(abs(initial[1]))
         khz = _number(options, "omega0_2pi_kHz", path, minimum=0.0,
                       strict_min=True)
         ratio = _number(options, "drive_ratio", path, minimum=0.0,
@@ -357,6 +360,15 @@ def check_full_span(setup: TrapSetup, t_end: float,
                 FrequencyRangeWarning, stacklevel=2)
             return True
     return False
+
+
+def _check_speed(speed: float):
+    # the equations of motion are Newton's: a start at or above c is
+    # outside the model (far above it DOP853's steps collapse)
+    if not speed < CONST.c:
+        raise ConfigError(f"simulate.initial.velocity_m_s: initial speed "
+                          f"{speed:.9g} m/s is not below the speed of light "
+                          f"({CONST.c:.9g} m/s); the model is non-relativistic")
 
 
 def _check_rows(rows, keys: str):

@@ -24,8 +24,11 @@ Two deliberately separate integrations:
   (w0/w_d)^2 scaling law, not by direct integration.
 
 Trajectory CSV cells are "%.12g" (``format_sig(x, 12)``) of Python floats
-from ``tolist()``, one block of ``CSV_BLOCK_ROWS`` rows at a time, so that
-the table never exists whole, as Python floats or as one array.
+from ``tolist()``, one block of ``CSV_BLOCK_ROWS`` rows at a time, and
+:meth:`TrajectoryRecord.csv_pieces` yields each block's text as it is
+formatted, so that neither the table (as Python floats or as one array)
+nor the text exists whole when the CLI writes it.  A column of +0.0 only
+is the literal ``0``, the same bytes with no formatting.
 
 Radiation pressure shifts the axial equilibrium away from the focus;
 :func:`equilibrium_shift` locates that equilibrium by a bracketed
@@ -86,18 +89,28 @@ class TrajectoryRecord:
     def total_energy(self) -> np.ndarray:
         return self.kinetic_energy + self.potential_energy
 
-    def to_csv_text(self) -> str:
-        columns = (self.times, self.positions, self.velocities,
+    def csv_pieces(self):
+        """The trajectory CSV in pieces, each ending in a newline: the
+        header, then one piece per ``CSV_BLOCK_ROWS`` rows.  A column whose
+        every cell is +0.0 is written as the literal ``0`` ("%.12g" of
+        0.0) without formatting its cells; a -0.0 or NaN in it keeps
+        "%.12g" on every cell."""
+        columns = (self.times, *self.positions.T, *self.velocities.T,
                    self.kinetic_energy, self.potential_energy,
                    self.total_energy)
-        row_format = ",".join(["%.12g"] * 10)
-        parts = ["t,x,y,z,vx,vy,vz,E_kin,E_pot,E_tot"]
+        varies = [c.any() or np.signbit(c).any()   # NaN is truthy
+                  for c in columns]
+        row = ",".join("%.12g" if v else "0" for v in varies) + "\n"
+        varying = [c for c, v in zip(columns, varies) if v]
+        yield "t,x,y,z,vx,vy,vz,E_kin,E_pot,E_tot\n"
         for start in range(0, len(self.times), CSV_BLOCK_ROWS):
-            block = np.column_stack([column[start:start + CSV_BLOCK_ROWS]
-                                     for column in columns])
-            parts.append("\n".join([row_format] * len(block))
-                         % tuple(block.ravel().tolist()))
-        return "\n".join(parts) + "\n"
+            cells = [c[start:start + CSV_BLOCK_ROWS] for c in varying]
+            rows = min(CSV_BLOCK_ROWS, len(self.times) - start)
+            yield row * rows % (tuple(np.column_stack(cells).ravel().tolist())
+                                if cells else ())
+
+    def to_csv_text(self) -> str:
+        return "".join(self.csv_pieces())
 
 
 def _static_potential(setup: TrapSetup, positions):

@@ -233,11 +233,15 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, event):
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 8))
     h_abs = min(100 * h0, h1, interval)
-    A, C, K = DOP853_A, DOP853_C, np.empty((16, y.size))   # K: the stages
+    C, K = DOP853_C.tolist(), np.empty((16, y.size))   # K: the stages
+    # K is only written in place, so its views K[:s].T are built once, as
+    # are the rows A[s, :s]
+    KT = [K[:s].T for s in range(16)]
+    A = [DOP853_A[s, :s] for s in range(16)]
 
     def stages(t, y, h, first, stop):
         for s in range(first, stop):
-            K[s] = f_of(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+            K[s] = f_of(t + C[s] * h, y + np.dot(KT[s], A[s]) * h)
 
     def dense_output():
         """The last step's degree-7 interpolant, from 3 more stages."""
@@ -271,11 +275,11 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, event):
             h_abs = np.abs(h)
             K[0] = f
             stages(t, y, h, 1, 12)
-            y_new = y + h * np.dot(K[:12].T, A[12, :12])
+            y_new = y + h * np.dot(KT[12], A[12])
             K[12] = f_new = f_of(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5_sq = np.linalg.norm(np.dot(K[:13].T, DOP853_E5) / scale) ** 2
-            err3_sq = np.linalg.norm(np.dot(K[:13].T, DOP853_E3) / scale) ** 2
+            err5_sq = np.linalg.norm(np.dot(KT[13], DOP853_E5) / scale) ** 2
+            err3_sq = np.linalg.norm(np.dot(KT[13], DOP853_E3) / scale) ** 2
             error_norm = 0.0 if err5_sq == 0 and err3_sq == 0 else (
                 np.abs(h) * err5_sq
                 / np.sqrt((err5_sq + 0.01 * err3_sq) * len(scale)))

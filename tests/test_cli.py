@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 from optrap.cli import main
 from optrap.config import parse_config
+from optrap.constants import CONST
 from optrap.dynamics import MIN_RTOL
 from optrap.reporting import build_report
 
@@ -259,6 +261,51 @@ def test_failed_write_leaves_nothing(tmp_path, monkeypatch, capsys):
     assert main(["report", str(MG24), "--out-dir", str(out)]) == 2
     assert "no space left" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [OSError("no space left"),
+                                   ValueError("bad cell")])
+def test_failed_trajectory_piece_leaves_nothing(tmp_path, capsys,
+                                                monkeypatch, mg24_config,
+                                                error):
+    # the CSV is formatted while it is written: an exception after the
+    # first piece removes the temp file, whatever its type
+    from optrap.dynamics import TrajectoryRecord
+
+    def pieces(self):
+        yield "t,x,y,z,vx,vy,vz,E_kin,E_pot,E_tot\n"
+        raise error
+
+    monkeypatch.setattr(TrajectoryRecord, "csv_pieces", pieces)
+    config = write_config(tmp_path, _driven(mg24_config, drive_periods=2))
+    out = tmp_path / "out"
+    argv = ["simulate", str(config), "--out-dir", str(out)]
+    if isinstance(error, OSError):
+        assert main(argv) == 2
+        assert "no space left" in capsys.readouterr().err
+    else:
+        with pytest.raises(ValueError, match="bad cell"):
+            main(argv)
+    assert list(out.iterdir()) == []
+
+
+def test_driven_simulate_peak_memory_below_twice_the_csv(tmp_path,
+                                                         mg24_config):
+    # the CSV goes to its file block by block, so neither its text nor its
+    # encoding exists whole; 1,600 drive periods are 102,401 rows
+    import tracemalloc
+    config = write_config(tmp_path, _driven(mg24_config, drive_periods=1600))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", str(config), "--out-dir", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    with open(out / "trajectory.csv", encoding="utf-8") as csv:
+        assert sum(1 for _ in csv) == 1 + 102_401
+    assert peak < 2 * (out / "trajectory.csv").stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +722,37 @@ def test_simulate_block_refused_when_read(tmp_path, capsys, mg24_config,
     out = tmp_path / "out"
     assert main(["simulate", str(config), "--out-dir", str(out)]) == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the model is non-relativistic: an initial speed |v| >= c is refused; a
+# full-mode start is refused by its norm
+_BELOW_C = math.nextafter(CONST.c, 0.0)
+
+
+@pytest.mark.parametrize("mode,velocity,refused", [
+    ("full", [1e200, 0.0, 0.0], True), ("full", [0.0, CONST.c, 0.0], True),
+    ("full", [0.0, _BELOW_C, 0.0], False),
+    ("full", [2.2e8, 2.2e8, 0.0], True), ("full", [2e8, 2e8, 0.0], False),
+    ("driven", 1e200, True), ("driven", -CONST.c, True),
+    ("driven", _BELOW_C, False)])
+def test_initial_speed_must_be_below_c(tmp_path, capsys, mg24_config, mode,
+                                       velocity, refused):
+    if mode == "driven":
+        cfg = _driven(mg24_config, drive_periods=2)
+        cfg["simulate"]["initial"] = {"velocity_m_s": velocity}
+    else:
+        cfg = mg24_config
+        cfg["simulate"]["initial"]["velocity_m_s"] = velocity
+    if not refused:
+        parse_config(cfg)
+        return
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: simulate.initial.velocity_m_s: ")
+    assert "speed of light" in err
     assert not out.exists()
 
 

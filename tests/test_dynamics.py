@@ -209,24 +209,55 @@ def _csv_record(rows, rng):
                             potential_energy=cells[:, 7], metadata={})
 
 
-def test_trajectory_csv_matches_a_cell_by_cell_oracle():
-    from optrap.dynamics import CSV_BLOCK_ROWS
+def _csv_oracle(record):
     from optrap.units import format_sig
-    record = _csv_record(2 * CSV_BLOCK_ROWS + 37, np.random.default_rng(3))
-    record.positions[0] = (-0.0, 5e-324, 1e300)
-    record.velocities[1] = (2.2e-310, -1e300, 0.0)
-    record.kinetic_energy[2] = record.potential_energy[2] = -0.0
-    record.kinetic_energy[-1], record.potential_energy[-1] = 1e300, -4e-320
     columns = (record.times, *record.positions.T, *record.velocities.T,
                record.kinetic_energy, record.potential_energy,
                record.total_energy)
     oracle = ["t,x,y,z,vx,vy,vz,E_kin,E_pot,E_tot"] + [
         ",".join(format_sig(float(col[i]), 12) for col in columns)
         for i in range(len(record.times))]
+    return "\n".join(oracle) + "\n"
+
+
+def test_trajectory_csv_matches_a_cell_by_cell_oracle():
+    from optrap.dynamics import CSV_BLOCK_ROWS, TrajectoryRecord
+    record = _csv_record(2 * CSV_BLOCK_ROWS + 37, np.random.default_rng(3))
+    record.positions[0] = (-0.0, 5e-324, 1e300)
+    record.velocities[1] = (2.2e-310, -1e300, 0.0)
+    record.kinetic_energy[2] = record.potential_energy[2] = -0.0
+    record.kinetic_energy[-1], record.potential_energy[-1] = 1e300, -4e-320
     text = record.to_csv_text()
-    assert text == "\n".join(oracle) + "\n"
+    assert text == _csv_oracle(record)
     assert "-0,4.94065645841e-324,1e+300," in text
     assert text.endswith(",1e+300,-3.99995546873e-320,1e+300\n")
+    # the text is its pieces: the header, then one per block of rows
+    pieces = list(record.csv_pieces())
+    assert "".join(pieces) == text
+    assert [piece.count("\n") for piece in pieces] == [
+        1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS, 37]
+    assert all(piece.endswith("\n") for piece in pieces)
+
+    # zero columns: y and z hold +0.0 only (the literal 0), vy one -0.0 and
+    # vz one NaN (both formatted cell by cell)
+    record.positions[:, 1:] = 0.0
+    record.velocities[:, 1:] = 0.0
+    record.velocities[CSV_BLOCK_ROWS + 3, 1] = -0.0
+    record.velocities[7, 2] = np.nan
+    text = record.to_csv_text()
+    assert text == _csv_oracle(record)
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    assert {row[2] for row in rows} == {row[3] for row in rows} == {"0"}
+    assert rows[CSV_BLOCK_ROWS + 3][5] == "-0" and rows[7][6] == "nan"
+
+    # every column literal: one row at t = 0
+    zero = np.zeros(1)
+    record = TrajectoryRecord(times=zero, positions=np.zeros((1, 3)),
+                              velocities=np.zeros((1, 3)),
+                              kinetic_energy=zero, potential_energy=zero,
+                              metadata={})
+    assert record.to_csv_text() == _csv_oracle(record) == (
+        "t,x,y,z,vx,vy,vz,E_kin,E_pot,E_tot\n0,0,0,0,0,0,0,0,0,0\n")
 
 
 def test_trajectory_csv_peak_memory_stays_near_the_text_size():
@@ -697,8 +728,12 @@ def test_pinned_bytes_hold_without_avx512():
     # loops off (numpy reads the variable once, at import), as on an
     # AVX2-only CPU; on a host without AVX512 nothing is switched off.
     features = _avx512_dispatch()
+    # src on the path, as under the Tier-1 command, whatever ran this test
+    src = str(Path(__file__).resolve().parent.parent / "src")
     env = {key: value for key, value in os.environ.items()
            if key != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
     if features:
         env["NPY_DISABLE_CPU_FEATURES"] = " ".join(features)
     tests = [f"{__file__}::{name}" for name in (
